@@ -9,9 +9,7 @@ guarantees regardless of machine speed:
 
 - every parallel result is identical to the serial one — counter
   metrics for characterization, the full per-object outcome map for
-  periodicity, and every (N, K, clustered) hit count for ngram;
-- the HyperLogLog unique-client estimate lands within 2% of the
-  exact count, including at 100k distinct clients.
+  periodicity, and every (N, K, clustered) hit count for ngram.
 
 Speedup is asserted (> 1.5x at 4 process workers) only on hosts with
 at least 4 CPUs and a serial run long enough to amortize the pool
@@ -31,8 +29,6 @@ from repro.core.pipeline import (
     run_ngram_parallel,
     run_periodicity_parallel,
 )
-from repro.engine.sketches import HyperLogLog
-from repro.engine.state import CharacterizationState
 from repro.ngram.evaluate import run_table3
 from repro.periodicity.detector import DetectorConfig
 from repro.periodicity.results import analyze_logs
@@ -208,33 +204,3 @@ def test_perf_engine_ngram_serial_vs_parallel(pattern_dataset):
 
     _assert_or_report_speedup("ngram", serial_seconds, parallel_seconds)
 
-
-def test_perf_engine_hll_within_two_percent(engine_dataset):
-    """Merged sketch unique-client estimate tracks the exact count."""
-    state = CharacterizationState().update(engine_dataset.logs)
-    exact = state.summary.num_clients
-    estimate = state.unique_clients_estimate()
-    error = abs(estimate - exact) / exact
-    print(
-        f"\nunique clients: exact {exact:,}, HLL estimate {estimate:,.0f}"
-        f" ({error:.2%} error)"
-    )
-    assert error < 0.02
-
-
-def test_perf_engine_hll_100k_clients():
-    """HLL stays within 2% at 100k distinct clients (paper scale)."""
-    sketch = HyperLogLog()
-    count = 100_000
-    start = time.perf_counter()
-    for index in range(count):
-        sketch.add(f"client-{index:08d}")
-    seconds = time.perf_counter() - start
-    estimate = sketch.estimate()
-    error = abs(estimate - count) / count
-    print(
-        f"\nHLL 100k insert: {seconds:.3f} s"
-        f" ({count / seconds:,.0f} adds/s), estimate {estimate:,.0f}"
-        f" ({error:.2%} error)"
-    )
-    assert error < 0.02

@@ -3,8 +3,9 @@
 
 Combines three capabilities the paper motivates:
 
-1. **Windowed characterization** — the §4 metrics as a live time
-   series (diurnal request volume, JSON share, cacheability drift);
+1. **Windowed characterization** — the stream service's per-window
+   §4 metrics as a time series (diurnal request volume, JSON share,
+   cacheability drift);
 2. **Period-deviation alerts** (§5.1) — a client polling an object
    far off its intended timer;
 3. **Sequence anomaly alerts** (§5.2) — a client requesting objects
@@ -17,7 +18,7 @@ Run:
 import numpy as np
 
 from repro.anomaly import PeriodicAnomalyMonitor, SequenceAnomalyDetector
-from repro.analysis import WindowedCharacterizer
+from repro.core.pipeline import run_stream
 from repro.logs.record import HttpMethod, RequestLog
 from repro.synth import WorkloadBuilder, long_term_config
 
@@ -29,18 +30,18 @@ def main() -> None:
     ).build()
     logs = dataset.logs
 
-    # -- 1. hourly traffic time series -----------------------------------
-    characterizer = WindowedCharacterizer(window_s=3 * 3600.0,
-                                          track_devices=False)
+    # -- 1. 3-hourly traffic time series ---------------------------------
+    stream = run_stream(logs, window_s=3 * 3600.0, detect_periods=False,
+                        predict_urls=False)
     print(f"{'window':>8s} {'requests':>9s} {'json':>7s} {'no-store':>9s} "
           f"{'clients':>8s}")
-    for window in characterizer.windows(logs):
-        hour = max(0, int((window.window_end - logs[0].timestamp) // 3600) - 3)
-        bar = "#" * (window.total_requests // 400)
-        print(f"{hour:>6d}h {window.total_requests:>9,} "
+    for window in stream.snapshots:
+        hour = max(0, int((window.window_start - logs[0].timestamp) // 3600))
+        bar = "#" * (window.records // 400)
+        print(f"{hour:>6d}h {window.records:>9,} "
               f"{window.json_share * 100:>6.1f}% "
               f"{window.uncacheable_share * 100:>8.1f}% "
-              f"{window.client_count:>8,}  {bar}")
+              f"{window.unique_clients:>8,}  {bar}")
 
     # -- 2. learn intended periods, then catch a rogue device -------------
     print("\nLearning intended object periods from the day's traffic ...")

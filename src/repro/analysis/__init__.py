@@ -23,11 +23,7 @@ from .sessionize import Session, SessionStats, session_statistics, sessionize
 from .sizes import SizeComparison, SizeDistribution, analyze_sizes, compare_sizes
 from .cost import ContentCost, CostModel, serving_costs
 from .drift import DriftReport, MetricDelta, compare_traffic, traffic_metrics
-from .popularity import HeavyHitters, ObjectPopularity, rank_objects
 from .regional import RegionStats, edge_region, peak_hour_spread, regional_breakdown
-# Re-exported from its new home (repro.stream) for compatibility; the
-# deprecated repro.analysis.streaming shim warns on direct import.
-from ..stream.characterizer import WindowStats, WindowedCharacterizer
 from .trend import TrendAnalysis, analyze_trend, snapshot_ratio
 
 __all__ = [
@@ -53,15 +49,10 @@ __all__ = [
     "MetricDelta",
     "compare_traffic",
     "traffic_metrics",
-    "ObjectPopularity",
-    "HeavyHitters",
-    "rank_objects",
     "RegionStats",
     "regional_breakdown",
     "edge_region",
     "peak_hour_spread",
-    "WindowStats",
-    "WindowedCharacterizer",
     "TrendAnalysis",
     "analyze_trend",
     "snapshot_ratio",

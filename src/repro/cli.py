@@ -10,7 +10,6 @@ Subcommands mirror the reproduction workflow::
     repro-json-cdn ngram --dataset long --workers 4
     repro-json-cdn trend
     repro-json-cdn paper     --requests 60000
-    repro-json-cdn engine-bench --requests 50000 --workers 4 --pipeline all
     repro-json-cdn stream --logs-dir parts/ --window 300 --watermark 60 \
         --emit windows.jsonl --checkpoint-dir ckpt/
 
@@ -21,13 +20,11 @@ dataset on the fly.  ``--workers N`` routes the §4 characterization,
 the §5.1 periodicity analysis (``periodicity``), and the §5.2 ngram
 sweep (``ngram``) through the sharded engine (``repro.engine``);
 ``--checkpoint-dir`` makes any engine run resumable.  ``paper`` runs
-the whole evaluation and prints every table and figure;
-``engine-bench`` measures serial vs sharded runs of any (or all) of
-the three engine pipelines on one dataset.  ``stream`` runs the
-online windowed service (``repro.stream``) over a file, a partitioned
-directory, a growing file (``--follow``) or stdin, emitting one JSONL
-snapshot per sealed event-time window and resuming sealed windows
-from ``--checkpoint-dir`` after a kill.
+the whole evaluation and prints every table and figure.  ``stream``
+runs the online windowed service (``repro.stream``) over a file, a
+partitioned directory, a growing file (``--follow``) or stdin,
+emitting one JSONL snapshot per sealed event-time window and resuming
+sealed windows from ``--checkpoint-dir`` after a kill.
 
 Every engine-backed command and ``stream`` also accept ``--metrics
 FILE`` (export a metrics snapshot after the run: Prometheus text
@@ -39,7 +36,9 @@ exposition, or the JSON snapshot with a ``.json`` suffix) and
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .analysis.trend import analyze_trend
@@ -65,8 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-json-cdn",
         description="Reproduction of 'Characterizing JSON Traffic Patterns on a CDN' (IMC 2019)",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No prefix matching anywhere: ``--worker`` must not mean ``--workers``.
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(
+            argparse.ArgumentParser, allow_abbrev=False
+        ),
+    )
 
     def add_obs_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -169,13 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     trend = sub.add_parser("trend", help="print the Figure 1 ratio series")
     trend.add_argument("--seed", type=int, default=0)
 
-    windows = sub.add_parser(
-        "windows", help="windowed (streaming) traffic time series"
-    )
-    add_dataset_args(windows, engine=True)
-    windows.add_argument("--window", type=float, default=300.0,
-                         help="tumbling window width in seconds")
-
     stream = sub.add_parser(
         "stream",
         help="online windowed analysis service (event-time windows, "
@@ -270,29 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument("--edges", type=int, default=3,
                         help="edge caches to spread clients across")
-
-    engine_bench = sub.add_parser(
-        "engine-bench",
-        help="measure serial vs sharded-engine characterization",
-    )
-    add_dataset_args(engine_bench, engine=True)
-    engine_bench.set_defaults(workers=4)
-    engine_bench.add_argument(
-        "--backend",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="engine execution backend for the parallel run",
-    )
-    engine_bench.add_argument(
-        "--pipeline",
-        choices=("characterization", "periodicity", "ngram", "all"),
-        default="characterization",
-        help="which engine pipeline(s) to benchmark",
-    )
-    engine_bench.add_argument(
-        "--permutations", type=int, default=20,
-        help="period-detector permutation count for the periodicity bench",
-    )
 
     sub.add_parser("experiments", help="list every reproducible artifact")
     return parser
@@ -447,38 +424,6 @@ def _cmd_trend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_windows(args: argparse.Namespace) -> int:
-    from .core.report import render_table
-    from .stream import WindowedCharacterizer
-
-    logs, _ = _load_or_generate(args)
-    characterizer = WindowedCharacterizer(window_s=args.window)
-    rows = []
-    for window in characterizer.windows(logs):
-        offset = window.window_start - logs[0].timestamp if logs else 0.0
-        ratio = window.json_html_ratio
-        rows.append(
-            [
-                f"+{offset:.0f}s",
-                window.total_requests,
-                f"{window.json_share * 100:.1f}%",
-                "inf" if ratio == float("inf") else f"{ratio:.2f}",
-                f"{window.get_share * 100:.1f}%",
-                f"{window.uncacheable_share * 100:.1f}%",
-                window.client_count,
-            ]
-        )
-    print(
-        render_table(
-            ["window", "requests", "json", "json:html", "get", "no-store",
-             "clients"],
-            rows,
-            title=f"Traffic time series ({args.window:.0f}s windows)",
-        )
-    )
-    return 0
-
-
 def _cmd_stream(args: argparse.Namespace) -> int:
     from .core.pipeline import run_stream
     from .core.report import render_table
@@ -592,179 +537,6 @@ def _cmd_paper(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_characterization(args, logs, categories):
-    """serial vs engine §4 run; returns (rows, matches, notes)."""
-    import time
-
-    from .core.pipeline import _characterize_shard
-    from .engine.executor import run_shards
-    from .engine.shard import plan_directory_shards, plan_memory_shards
-
-    if getattr(args, "logs_dir", None):
-        shards = plan_directory_shards(args.logs_dir)
-    else:
-        shards = plan_memory_shards(logs, max(1, args.workers) * 4)
-
-    started = time.perf_counter()
-    serial = run_characterization(logs, categories)
-    serial_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    state, stats = run_shards(
-        shards, _characterize_shard, workers=args.workers, backend=args.backend
-    )
-    parallel_s = time.perf_counter() - started
-    parallel = state.to_report(categories)
-
-    matches = (
-        parallel.traffic_source == serial.traffic_source
-        and parallel.request_type == serial.request_type
-        and parallel.cacheability == serial.cacheability
-        and parallel.summary == serial.summary
-    )
-    exact_clients = serial.summary.num_clients
-    estimate = state.unique_clients_estimate()
-    error = abs(estimate - exact_clients) / exact_clients if exact_clients else 0.0
-    rows = [
-        ["characterization serial", f"{serial_s:.2f}s", "-", "-"],
-        [
-            f"characterization engine ({stats.backend} x{stats.workers})",
-            f"{parallel_s:.2f}s",
-            stats.total_shards,
-            f"{serial_s / parallel_s:.2f}x" if parallel_s else "-",
-        ],
-    ]
-    notes = [
-        f"unique clients: exact {exact_clients:,}, "
-        f"HLL estimate {estimate:,.0f} ({error * 100:.2f}% error)"
-    ]
-    return rows, matches, notes
-
-
-def _bench_periodicity(args, logs):
-    """serial vs engine §5.1 run; returns (rows, matches, notes)."""
-    import time
-
-    from .periodicity.detector import DetectorConfig
-    from .periodicity.results import analyze_logs
-
-    detector_config = DetectorConfig(permutations=args.permutations)
-    started = time.perf_counter()
-    serial = analyze_logs(logs, detector_config=detector_config)
-    serial_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    parallel, stage_reports = run_periodicity_parallel(
-        logs,
-        detector_config=detector_config,
-        workers=args.workers,
-        backend=args.backend,
-        with_stats=True,
-    )
-    parallel_s = time.perf_counter() - started
-
-    matches = (
-        sorted(parallel.objects) == sorted(serial.objects)
-        and render_periodicity(parallel) == render_periodicity(serial)
-    )
-    shards = sum(report.total_shards for report in stage_reports)
-    backend = stage_reports[0].backend
-    rows = [
-        ["periodicity serial", f"{serial_s:.2f}s", "-", "-"],
-        [
-            f"periodicity engine ({backend} x{args.workers})",
-            f"{parallel_s:.2f}s",
-            shards,
-            f"{serial_s / parallel_s:.2f}x" if parallel_s else "-",
-        ],
-    ]
-    notes = [
-        f"periodic objects: {len(parallel.object_periods())}, "
-        f"periodic requests: {parallel.periodic_request_count:,}"
-    ]
-    return rows, matches, notes
-
-
-def _bench_ngram(args, logs):
-    """serial vs engine §5.2 run; returns (rows, matches, notes)."""
-    import time
-
-    from .ngram.evaluate import run_table3
-
-    started = time.perf_counter()
-    serial = run_table3(logs)
-    serial_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    parallel, stage_reports = run_ngram_parallel(
-        logs, workers=args.workers, backend=args.backend, with_stats=True
-    )
-    parallel_s = time.perf_counter() - started
-
-    matches = serial == parallel
-    shards = sum(report.total_shards for report in stage_reports)
-    backend = stage_reports[0].backend
-    rows = [
-        ["ngram serial", f"{serial_s:.2f}s", "-", "-"],
-        [
-            f"ngram engine ({backend} x{args.workers})",
-            f"{parallel_s:.2f}s",
-            shards,
-            f"{serial_s / parallel_s:.2f}x" if parallel_s else "-",
-        ],
-    ]
-    top1 = parallel.get((1, 1, True))
-    notes = [
-        f"clustered top-1 accuracy: {top1.accuracy:.3f}" if top1 else ""
-    ]
-    return rows, matches, [note for note in notes if note]
-
-
-def _cmd_engine_bench(args: argparse.Namespace) -> int:
-    from .core.report import render_table
-    from .logs.partition import read_partitioned
-
-    if getattr(args, "logs_dir", None):
-        logs = list(read_partitioned(args.logs_dir))
-        categories = None
-    else:
-        logs, categories = _load_or_generate(args)
-
-    pipelines = (
-        ("characterization", "periodicity", "ngram")
-        if args.pipeline == "all"
-        else (args.pipeline,)
-    )
-    rows = []
-    notes = []
-    all_match = True
-    for pipeline in pipelines:
-        if pipeline == "characterization":
-            bench_rows, matches, bench_notes = _bench_characterization(
-                args, logs, categories
-            )
-        elif pipeline == "periodicity":
-            bench_rows, matches, bench_notes = _bench_periodicity(args, logs)
-        else:
-            bench_rows, matches, bench_notes = _bench_ngram(args, logs)
-        rows.extend(bench_rows)
-        notes.extend(bench_notes)
-        notes.append(f"{pipeline} results identical to serial: {matches}")
-        all_match = all_match and matches
-
-    print(
-        render_table(
-            ["run", "wall time", "shards", "speedup"],
-            rows,
-            title=f"Engine benchmark over {len(logs):,} logs",
-        )
-    )
-    print()
-    for note in notes:
-        print(note)
-    return 0 if all_match else 1
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .synth.validation import validate_dataset
 
@@ -825,12 +597,10 @@ _COMMANDS = {
     "periodicity": _cmd_periodicity,
     "ngram": _cmd_ngram,
     "trend": _cmd_trend,
-    "windows": _cmd_windows,
     "stream": _cmd_stream,
     "paper": _cmd_paper,
     "validate": _cmd_validate,
     "replay": _cmd_replay,
-    "engine-bench": _cmd_engine_bench,
     "experiments": _cmd_experiments,
 }
 
@@ -845,8 +615,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     shard_timeout = getattr(args, "shard_timeout", None)
     if shard_timeout is not None and shard_timeout <= 0:
         parser.error("--shard-timeout must be positive")
-    if getattr(args, "logs", None) and getattr(args, "logs_dir", None):
-        parser.error("--logs and --logs-dir are mutually exclusive")
+    sources = [
+        flag
+        for flag, dest in (("--logs", "logs"), ("--logs-dir", "logs_dir"),
+                           ("--follow", "follow"), ("--stdin", "stdin"))
+        if getattr(args, dest, None)
+    ]
+    if len(sources) > 1:
+        parser.error(f"{' and '.join(sources)} are mutually exclusive")
+    if getattr(args, "logs", None) and not Path(args.logs).exists():
+        parser.error(f"--logs: no such file: {args.logs}")
+    logs_dir = getattr(args, "logs_dir", None)
+    if logs_dir and not Path(logs_dir).is_dir():
+        parser.error(f"--logs-dir: no such directory: {logs_dir}")
     metrics_path = getattr(args, "metrics", None)
     trace_path = getattr(args, "trace", None)
     if not (metrics_path or trace_path):

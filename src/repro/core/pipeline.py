@@ -9,7 +9,7 @@ type, response type) and :func:`run_pattern_analysis` reproduces §5
 :func:`run_characterization_parallel` produces the same §4 report
 through the sharded engine (:mod:`repro.engine`): the dataset splits
 into shards, each shard folds into a mergeable
-:class:`~repro.engine.sketches.CharacterizationState`, and the merged
+:class:`~repro.engine.state.CharacterizationState`, and the merged
 state finalizes into a report whose counter metrics are identical to
 the serial ones.
 

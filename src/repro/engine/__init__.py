@@ -1,13 +1,14 @@
 """Sharded parallel analysis engine.
 
 Splits a dataset into shards (:mod:`repro.engine.shard`), maps each
-shard to a mergeable partial state (:mod:`repro.engine.sketches`),
+shard to a mergeable partial state (:mod:`repro.engine.state`,
+:mod:`repro.engine.flowstate`, :mod:`repro.engine.ngramstate`),
 runs the map phase on a serial/thread/process backend and folds the
 states back together in deterministic plan order
 (:mod:`repro.engine.executor`), checkpointing partials so interrupted
 runs resume (:mod:`repro.engine.checkpoint`).
 
-See ``docs/engine.md`` for the flow diagram and error bounds.
+See ``docs/engine.md`` for the flow diagram.
 """
 
 from .checkpoint import CheckpointError, CheckpointStore
@@ -29,13 +30,6 @@ from .shard import (
     plan_directory_shards,
     plan_item_shards,
     plan_memory_shards,
-)
-from .sketches import (
-    CountMinSketch,
-    HyperLogLog,
-    ReservoirSample,
-    TopK,
-    UniqueCounter,
     stable_hash64,
 )
 from .state import CharacterizationState
@@ -45,23 +39,18 @@ __all__ = [
     "CharacterizationState",
     "CheckpointError",
     "CheckpointStore",
-    "CountMinSketch",
     "EngineError",
     "FileShard",
     "FlowCollectionState",
-    "HyperLogLog",
     "ItemShard",
     "MemoryShard",
     "NgramEvalState",
     "NgramSequenceState",
     "PeriodicityDetectionState",
-    "ReservoirSample",
     "RunReport",
     "Shard",
     "ShardExecutor",
     "ShardResult",
-    "TopK",
-    "UniqueCounter",
     "plan_directory_shards",
     "plan_item_shards",
     "plan_memory_shards",

@@ -29,13 +29,13 @@ both hang off that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import blake2b
 from pathlib import Path
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..logs.io import PathLike, read_logs
 from ..logs.partition import iter_partition_files
 from ..logs.record import RequestLog
-from .sketches import stable_hash64
 
 __all__ = [
     "Shard",
@@ -45,7 +45,20 @@ __all__ = [
     "plan_directory_shards",
     "plan_memory_shards",
     "plan_item_shards",
+    "stable_hash64",
 ]
+
+
+def stable_hash64(value: str) -> int:
+    """Process-stable 64-bit hash of a string.
+
+    The builtin ``hash`` is salted per interpreter (PYTHONHASHSEED),
+    so shard assignments made in different worker processes would
+    disagree; BLAKE2b is stable everywhere and fast enough.
+    """
+    return int.from_bytes(
+        blake2b(value.encode("utf-8"), digest_size=8).digest(), "big"
+    )
 
 
 @dataclass(frozen=True)

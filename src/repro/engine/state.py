@@ -4,10 +4,8 @@
 shard and what the reduce phase folds together.  It composes the
 exact accumulators the serial pipeline uses (dataset summary,
 traffic-source/request-type breakdowns, cacheability, per-domain
-counts, size distributions, app usage) — all of which merge
-losslessly because they are counters and sets — with the bounded-
-memory sketches from :mod:`repro.engine.sketches` (HyperLogLog unique
-clients, reservoir size sample, count–min + top-K popularity).
+counts, size distributions, app usage), all of which merge
+losslessly because they are counters and lists.
 
 The invariant the engine tests enforce: for any split of a dataset
 into shards, ``merge``-ing the per-shard states and finalizing with
@@ -32,7 +30,6 @@ from ..logs.record import RequestLog
 from ..logs.summary import DatasetSummary
 from ..useragent.appid import AppIdentity, AppUsageReport, identify_app
 from ..useragent.classify import UserAgentClassifier
-from .sketches import CountMinSketch, HyperLogLog, ReservoirSample, TopK
 
 __all__ = ["CharacterizationState"]
 
@@ -49,8 +46,7 @@ class CharacterizationState:
     underlying accumulators are counters and sets), and
     :meth:`to_report` finalizes a
     :class:`~repro.core.pipeline.CharacterizationReport` equal to the
-    serial one.  The sketches ride along for bounded-memory variants
-    of the same questions.
+    serial one.
     """
 
     summary: DatasetSummary = field(default_factory=DatasetSummary)
@@ -66,11 +62,6 @@ class CharacterizationState:
         }
     )
     apps: AppUsageReport = field(default_factory=AppUsageReport)
-    client_sketch: HyperLogLog = field(default_factory=HyperLogLog)
-    json_size_sample: ReservoirSample = field(default_factory=ReservoirSample)
-    url_counts: CountMinSketch = field(default_factory=CountMinSketch)
-    top_urls: TopK = field(default_factory=TopK)
-    top_domains: TopK = field(default_factory=TopK)
 
     def __post_init__(self) -> None:
         self._classifier: Optional[UserAgentClassifier] = None
@@ -93,14 +84,9 @@ class CharacterizationState:
     def record_count(self) -> int:
         return self.summary.total_logs
 
-    def unique_clients_estimate(self) -> float:
-        """Sketch-based unique-client estimate (vs exact ``summary``)."""
-        return self.client_sketch.estimate()
-
     def ingest(self, record: RequestLog) -> None:
         """Fold one record; mirrors the serial §4 pipeline exactly."""
         self.summary.add(record)
-        self.client_sketch.add(record.client_id)
         content_type = record.content_type
         if content_type in self.sizes:
             self.sizes[content_type].add(record.response_bytes)
@@ -124,10 +110,6 @@ class CharacterizationState:
             identity = identify_app(record.user_agent)
             self._app_memo[ua_key] = identity
         self.apps.add(identity, record)
-        self.json_size_sample.add(float(record.response_bytes))
-        self.url_counts.add(record.object_id)
-        self.top_urls.add(record.object_id)
-        self.top_domains.add(record.domain)
 
     def update(self, records: Iterable[RequestLog]) -> "CharacterizationState":
         for record in records:
@@ -159,11 +141,6 @@ class CharacterizationState:
             else:
                 mine.merge(theirs)
         self.apps.merge(other.apps)
-        self.client_sketch.merge(other.client_sketch)
-        self.json_size_sample.merge(other.json_size_sample)
-        self.url_counts.merge(other.url_counts)
-        self.top_urls.merge(other.top_urls)
-        self.top_domains.merge(other.top_domains)
         return self
 
     def build_heatmap(

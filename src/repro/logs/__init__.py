@@ -4,21 +4,12 @@ This package stands in for the CDN log pipeline the paper reads from:
 record types (:mod:`repro.logs.record`), schema validation
 (:mod:`repro.logs.schema`), keyed IP anonymization
 (:mod:`repro.logs.anonymize`), streaming serialization
-(:mod:`repro.logs.io`), composable filters (:mod:`repro.logs.filters`),
-and single-pass dataset summaries (:mod:`repro.logs.summary`).
+(:mod:`repro.logs.io`), partitioned directories
+(:mod:`repro.logs.partition`), and single-pass dataset summaries
+(:mod:`repro.logs.summary`).
 """
 
 from .anonymize import IpAnonymizer, generate_key
-from .filters import (
-    chain_filters,
-    content_type_in,
-    domains_in,
-    html_only,
-    json_only,
-    methods_in,
-    status_class,
-    time_window,
-)
 from .partition import (
     bucket_name,
     iter_partition_files,
@@ -60,14 +51,6 @@ __all__ = [
     "write_tsv",
     "read_logs",
     "write_logs",
-    "json_only",
-    "html_only",
-    "content_type_in",
-    "time_window",
-    "domains_in",
-    "methods_in",
-    "status_class",
-    "chain_filters",
     "bucket_name",
     "write_partitioned",
     "read_partitioned",

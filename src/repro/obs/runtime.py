@@ -76,7 +76,8 @@ def installed(registry: Optional[MetricsRegistry]) -> Iterator[None]:
 
     ``None`` is a no-op context so call sites can pass an optional
     registry straight through.  Restore is compare-and-swap: nested
-    installs unwind in order.
+    installs unwind in order, and an exit after someone else installed
+    a newer registry leaves theirs in place.
     """
     if registry is None:
         yield
@@ -87,7 +88,8 @@ def installed(registry: Optional[MetricsRegistry]) -> Iterator[None]:
     try:
         yield
     finally:
-        _registry = previous
+        if _registry is registry:
+            _registry = previous
 
 
 @contextmanager

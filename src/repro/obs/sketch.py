@@ -1,11 +1,10 @@
 """Mergeable quantile sketch: bounded-memory latency/size histograms.
 
-The one accumulator the observability layer cannot borrow from
-:mod:`repro.engine.sketches` is a *quantile* summary — the engine's
-:class:`~repro.engine.sketches.ReservoirSample` is mergeable but
-randomized, and an observability pipeline must produce the same
-snapshot for the same run no matter how shards interleaved.  P²-style
-streaming estimators are deterministic per stream but their marker
+The observability layer needs a *quantile* summary that merges like
+the engine's states.  A reservoir sample is mergeable but randomized,
+and an observability pipeline must produce the same snapshot for the
+same run no matter how shards interleaved.  P²-style streaming
+estimators are deterministic per stream but their marker
 state does not merge at all.  A **fixed-boundary log-bucket
 histogram** gives up a bounded relative error per observation and in
 exchange gets the full engine merge algebra:

@@ -29,7 +29,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "command", ["characterize", "patterns", "periodicity", "ngram",
-                    "windows", "paper", "replay", "engine-bench"]
+                    "paper", "replay"]
     )
     def test_engine_args_on_analysis_commands(self, command):
         args = build_parser().parse_args(
@@ -53,28 +53,10 @@ class TestParser:
         args = build_parser().parse_args(["ngram", "--order", "2"])
         assert args.order == 2
 
-    def test_engine_bench_pipeline_choices(self):
-        args = build_parser().parse_args(["engine-bench", "--pipeline", "all"])
-        assert args.pipeline == "all"
-        assert build_parser().parse_args(["engine-bench"]).pipeline == (
-            "characterization"
-        )
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["engine-bench", "--pipeline", "nope"])
-
     def test_workers_default_serial(self):
         args = build_parser().parse_args(["characterize"])
         assert args.workers == 1
         assert args.logs_dir is None
-
-    def test_engine_bench_defaults(self):
-        args = build_parser().parse_args(["engine-bench"])
-        assert args.workers == 4
-        assert args.backend == "auto"
-
-    def test_engine_bench_backend_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["engine-bench", "--backend", "gpu"])
 
     def test_characterize_checkpoint_dir(self):
         args = build_parser().parse_args(
@@ -95,6 +77,38 @@ class TestParser:
     def test_logs_and_logs_dir_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             main(["characterize", "--logs", "a.jsonl", "--logs-dir", "b/"])
+
+    def test_option_prefixes_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["characterize", "--requests", "100", "--worker", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --worker" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, expected",
+        [("--logs", "no such file"), ("--logs-dir", "no such directory")],
+    )
+    def test_missing_input_is_a_usage_error(self, tmp_path, capsys, flag,
+                                            expected):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["characterize", flag, str(tmp_path / "missing")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            f"repro-json-cdn: error: {flag}: {expected}"
+        )
+
+    @pytest.mark.parametrize(
+        "sources",
+        [["--logs-dir", "D", "--stdin"], ["--follow", "F", "--stdin"],
+         ["--logs", "L", "--follow", "F"]],
+    )
+    def test_stream_sources_mutually_exclusive(self, capsys, sources):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stream", *sources])
+        assert excinfo.value.code == 2
+        assert "mutually exclusive" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", ["characterize", "patterns", "periodicity", "ngram"]
@@ -166,14 +180,6 @@ class TestCommands:
         ) == 0
         assert "Figure 3" in capsys.readouterr().out
 
-    def test_windows_command(self, capsys):
-        assert main(
-            ["windows", "--requests", "2000", "--seed", "5", "--window", "120"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Traffic time series" in out
-        assert "json:html" in out
-
     def test_validate_command(self, capsys):
         assert main(["validate", "--requests", "6000", "--seed", "0"]) == 0
         out = capsys.readouterr().out
@@ -219,16 +225,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table 2" in out
 
-    def test_engine_bench_smoke(self, capsys):
-        assert main(
-            ["engine-bench", "--requests", "1500", "--seed", "3",
-             "--workers", "2", "--backend", "thread"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Engine benchmark" in out
-        assert "characterization results identical to serial: True" in out
-        assert "HLL estimate" in out
-
     def test_periodicity_command_small(self, capsys):
         assert main(
             ["periodicity", "--dataset", "long", "--requests", "3000",
@@ -265,13 +261,3 @@ class TestCommands:
         serial_out = capsys.readouterr().out
         assert main(["patterns", "--workers", "2"] + argv_tail) == 0
         assert capsys.readouterr().out == serial_out
-
-    def test_engine_bench_ngram_pipeline(self, capsys):
-        assert main(
-            ["engine-bench", "--requests", "1500", "--seed", "3",
-             "--workers", "2", "--backend", "thread",
-             "--pipeline", "ngram"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "ngram results identical to serial: True" in out
-        assert "characterization" not in out

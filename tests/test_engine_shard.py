@@ -7,8 +7,8 @@ from repro.engine.shard import (
     MemoryShard,
     plan_directory_shards,
     plan_memory_shards,
+    stable_hash64,
 )
-from repro.engine.sketches import stable_hash64
 from repro.logs.partition import write_partitioned
 from tests.conftest import make_log
 
@@ -24,6 +24,22 @@ def partition_root(tmp_path):
     ]
     write_partitioned(logs, tmp_path)
     return tmp_path
+
+
+class TestStableHash:
+    def test_deterministic(self):
+        assert stable_hash64("client-1") == stable_hash64("client-1")
+        assert stable_hash64("client-1") != stable_hash64("client-2")
+
+    def test_64_bit_range(self):
+        value = stable_hash64("anything")
+        assert 0 <= value < 2 ** 64
+
+    def test_value_is_pinned(self):
+        # Shard assignment and checkpoint resume depend on these exact
+        # values; a change here silently reshuffles every memory plan.
+        assert stable_hash64("client-1") == 17289443768467610846
+        assert stable_hash64("") == 16476032584258269876
 
 
 class TestDirectoryShards:

@@ -189,6 +189,12 @@ class TestRuntime:
         assert runtime.active() is None
         assert registry.snapshot()["counters"]["x"] == 1
 
+    def test_installed_restore_is_compare_and_swap(self):
+        outer, newer = MetricsRegistry(), MetricsRegistry()
+        with obs.installed(outer):
+            runtime.install(newer)
+        assert runtime.active() is newer
+
     def test_installed_none_is_plain_passthrough(self):
         with obs.installed(None):
             assert runtime.active() is None

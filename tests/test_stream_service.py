@@ -219,24 +219,6 @@ class TestCheckpointResume:
         assert service.load_sealed_accumulators() == []
 
 
-class TestDeprecatedStreamingShim:
-    def test_old_import_path_warns_but_works(self):
-        import repro.analysis.streaming as old
-
-        with pytest.warns(DeprecationWarning, match="repro.stream"):
-            characterizer = old.WindowedCharacterizer(window_s=60.0)
-        from repro.stream import WindowedCharacterizer
-
-        assert isinstance(characterizer, WindowedCharacterizer)
-
-    def test_package_reexport_does_not_warn(self, recwarn):
-        from repro.analysis import WindowedCharacterizer  # noqa: F401
-
-        assert not [
-            w for w in recwarn if w.category is DeprecationWarning
-        ]
-
-
 class TestCli:
     def test_stream_args_parse(self):
         args = build_parser().parse_args(
