@@ -29,15 +29,7 @@ Quickstart::
     print(report.render("short-term"))
 """
 
-from .core import run_characterization, run_pattern_analysis
-from .logs import RequestLog
-from .synth import (
-    PAPER,
-    Dataset,
-    WorkloadBuilder,
-    long_term_config,
-    short_term_config,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -52,3 +44,12 @@ __all__ = [
     "run_pattern_analysis",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core.pipeline": ("run_characterization", "run_pattern_analysis"),
+    ".logs.record": ("RequestLog",),
+    ".synth.calibration": ("PAPER",),
+    ".synth.workload": (
+        "Dataset", "WorkloadBuilder", "long_term_config", "short_term_config",
+    ),
+})

@@ -6,25 +6,7 @@ pattern analyses live in :mod:`repro.periodicity` and
 :mod:`repro.ngram` and are re-exported here for a single entry point.
 """
 
-from ..ngram.evaluate import run_table3
-from ..periodicity.results import analyze_logs as analyze_periodicity
-from .cacheability import (
-    CacheabilityHeatmap,
-    CacheabilityStats,
-    DomainCacheability,
-    analyze_cacheability,
-)
-from .characterize import (
-    RequestTypeBreakdown,
-    TrafficSourceBreakdown,
-    characterize,
-)
-from .sessionize import Session, SessionStats, session_statistics, sessionize
-from .sizes import SizeComparison, SizeDistribution, analyze_sizes, compare_sizes
-from .cost import ContentCost, CostModel, serving_costs
-from .drift import DriftReport, MetricDelta, compare_traffic, traffic_metrics
-from .regional import RegionStats, edge_region, peak_hour_spread, regional_breakdown
-from .trend import TrendAnalysis, analyze_trend, snapshot_ratio
+from .._lazy import lazy_exports
 
 __all__ = [
     "TrafficSourceBreakdown",
@@ -59,3 +41,29 @@ __all__ = [
     "analyze_periodicity",
     "run_table3",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "..ngram.evaluate": ("run_table3",),
+    "..periodicity.results": ("analyze_logs as analyze_periodicity",),
+    ".cacheability": (
+        "CacheabilityHeatmap", "CacheabilityStats", "DomainCacheability",
+        "analyze_cacheability",
+    ),
+    ".characterize": (
+        "RequestTypeBreakdown", "TrafficSourceBreakdown", "characterize",
+    ),
+    ".sessionize": (
+        "Session", "SessionStats", "session_statistics", "sessionize",
+    ),
+    ".sizes": (
+        "SizeComparison", "SizeDistribution", "analyze_sizes", "compare_sizes",
+    ),
+    ".cost": ("ContentCost", "CostModel", "serving_costs"),
+    ".drift": (
+        "DriftReport", "MetricDelta", "compare_traffic", "traffic_metrics",
+    ),
+    ".regional": (
+        "RegionStats", "edge_region", "peak_hour_spread", "regional_breakdown",
+    ),
+    ".trend": ("TrendAnalysis", "analyze_trend", "snapshot_ratio"),
+})

@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.stats import percentile
 from ..logs.record import RequestLog
 
 __all__ = ["Session", "SessionStats", "sessionize", "session_statistics"]
@@ -109,7 +110,7 @@ class SessionStats:
     def length_percentile(self, q: float) -> float:
         if not self.lengths:
             return 0.0
-        return float(np.percentile(self.lengths, q))
+        return percentile(self.lengths, q)
 
     def manifest_first_fraction(
         self, markers: Sequence[str] = ("/home", "/config", "/stories")

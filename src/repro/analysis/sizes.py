@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
+from ..core.stats import percentile
 from ..logs.record import RequestLog
 
 __all__ = ["SizeDistribution", "SizeComparison", "analyze_sizes", "compare_sizes"]
@@ -44,12 +43,12 @@ class SizeDistribution:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.sizes)) if self.sizes else 0.0
+        return sum(self.sizes) / len(self.sizes) if self.sizes else 0.0
 
     def percentile(self, q: float) -> float:
         if not self.sizes:
             raise ValueError(f"no sizes recorded for {self.content_type}")
-        return float(np.percentile(self.sizes, q))
+        return percentile(self.sizes, q)
 
     @property
     def median(self) -> float:

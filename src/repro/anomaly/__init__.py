@@ -6,8 +6,7 @@ rate, §5.1) and sequence anomaly scoring (a client requesting highly
 unlikely objects, §5.2).
 """
 
-from .periodic import PeriodAlert, PeriodBaseline, PeriodicAnomalyMonitor
-from .sequence import SequenceAlert, SequenceAnomalyDetector
+from .._lazy import lazy_exports
 
 __all__ = [
     "PeriodBaseline",
@@ -16,3 +15,8 @@ __all__ = [
     "SequenceAlert",
     "SequenceAnomalyDetector",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".periodic": ("PeriodAlert", "PeriodBaseline", "PeriodicAnomalyMonitor"),
+    ".sequence": ("SequenceAlert", "SequenceAnomalyDetector"),
+})

@@ -6,29 +6,7 @@ and the two optimizations the paper proposes: ngram prefetching
 (§5.2) and machine-traffic deprioritization (§5.1).
 """
 
-from .cache import CacheEntry, CacheStats, LruTtlCache
-from .edge import EdgeServer, ServedRequest
-from .metrics import DeliveryMetrics, percentile
-from .network import LatencyModel, LatencySample
-from .origin import OriginFleet, OriginStats
-from .prefetch import (
-    NgramPrefetcher,
-    ObjectIndex,
-    PrefetchStats,
-    TimedNgramPrefetcher,
-    build_object_index,
-)
-from .purge import PurgeController, PurgeRequest
-from .replay import ReplayOutcome, ReplayPolicy, WhatIfReplayer
-from .scheduler import (
-    HUMAN,
-    MACHINE,
-    ClassMetrics,
-    CompletedJob,
-    Job,
-    PriorityServer,
-    simulate,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "LruTtlCache",
@@ -60,3 +38,21 @@ __all__ = [
     "HUMAN",
     "MACHINE",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ("CacheEntry", "CacheStats", "LruTtlCache"),
+    ".edge": ("EdgeServer", "ServedRequest"),
+    ".metrics": ("DeliveryMetrics", "percentile"),
+    ".network": ("LatencyModel", "LatencySample"),
+    ".origin": ("OriginFleet", "OriginStats"),
+    ".prefetch": (
+        "NgramPrefetcher", "ObjectIndex", "PrefetchStats",
+        "TimedNgramPrefetcher", "build_object_index",
+    ),
+    ".purge": ("PurgeController", "PurgeRequest"),
+    ".replay": ("ReplayOutcome", "ReplayPolicy", "WhatIfReplayer"),
+    ".scheduler": (
+        "HUMAN", "MACHINE", "ClassMetrics", "CompletedJob", "Job",
+        "PriorityServer", "simulate",
+    ),
+})

@@ -23,6 +23,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.stats import percentile
+
 __all__ = ["Job", "CompletedJob", "PriorityServer", "ClassMetrics", "simulate"]
 
 HUMAN = 0
@@ -139,7 +141,7 @@ class ClassMetrics:
     def percentile_wait_s(self, q: float) -> float:
         if not self.waits_s:
             return 0.0
-        return float(np.percentile(self.waits_s, q))
+        return percentile(self.waits_s, q)
 
 
 def simulate(

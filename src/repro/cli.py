@@ -31,6 +31,15 @@ FILE`` (export a metrics snapshot after the run: Prometheus text
 exposition, or the JSON snapshot with a ``.json`` suffix) and
 ``--trace FILE`` (recorded stage spans as JSONL) — see
 ``repro.obs``.
+
+Import discipline: this module imports only the standard library at
+module level, and each ``_cmd_*`` handler imports the modules it
+runs.  Building the parser, ``--help`` and a usage error load nothing
+from the analysis layers, and ``characterize`` loads neither numpy
+nor the synthetic-traffic generator when it reads ``--logs`` or
+``--logs-dir`` (see ``docs/architecture.md``).  Numeric options are
+range-checked by their argparse ``type``, so a bad value exits 2 with
+``repro-json-cdn <command>: error: argument --X: ...``.
 """
 
 from __future__ import annotations
@@ -39,25 +48,42 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-from typing import List, Optional
-
-from .analysis.trend import analyze_trend
-from .core.pipeline import (
-    render_ngram,
-    render_periodicity,
-    run_characterization,
-    run_characterization_parallel,
-    run_ngram_parallel,
-    run_pattern_analysis,
-    run_pattern_analysis_parallel,
-    run_periodicity_parallel,
-)
-from .core.report import render_bar_chart
-from .logs.io import read_logs, write_logs
-from .synth.trend import TrendModel
-from .synth.workload import WorkloadBuilder, long_term_config, short_term_config
+from typing import Callable, List, Optional, Union
 
 __all__ = ["main", "build_parser"]
+
+
+def _bounded(
+    kind: Callable[[str], Union[int, float]],
+    minimum: float,
+    strict: bool = False,
+) -> Callable[[str], Union[int, float]]:
+    """An argparse ``type`` that parses ``kind`` and checks its range.
+
+    ``strict`` requires ``value > minimum``, otherwise
+    ``value >= minimum``; NaN fails both.  An unparsable string still
+    reads "invalid int value" (argparse names the type by
+    ``__name__``).
+    """
+
+    def parse(text: str) -> Union[int, float]:
+        value = kind(text)
+        if not (value > minimum if strict else value >= minimum):
+            bound = f"> {minimum}" if strict else f">= {minimum}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+#: Range-checked argparse types shared by several options.
+_POSITIVE_INT = _bounded(int, 1)
+_NONNEGATIVE_INT = _bounded(int, 0)
+_POSITIVE_FLOAT = _bounded(float, 0, strict=True)
+_NONNEGATIVE_FLOAT = _bounded(float, 0)
+#: The period detector needs at least two permuted series.
+_PERMUTATIONS = _bounded(int, 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,18 +134,18 @@ def build_parser() -> argparse.ArgumentParser:
                      "(repro.logs.partition layout) instead of generating",
             )
             p.add_argument(
-                "--workers", type=int, default=1,
+                "--workers", type=_POSITIVE_INT, default=1,
                 help="worker count for the sharded analysis engine "
                      "(1 = serial)",
             )
             p.add_argument(
-                "--shard-timeout", type=float, default=None,
+                "--shard-timeout", type=_POSITIVE_FLOAT, default=None,
                 metavar="SECONDS", dest="shard_timeout",
                 help="abandon a pooled shard attempt after this many "
                      "seconds and retry it (thread/process backends)",
             )
             p.add_argument(
-                "--retries", type=int, default=0,
+                "--retries", type=_NONNEGATIVE_INT, default=0,
                 help="extra attempts per failed or timed-out shard, "
                      "with exponential backoff",
             )
@@ -144,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pat = sub.add_parser("patterns", help="run the §5 pattern analyses")
     add_dataset_args(pat, engine=True)
-    pat.add_argument("--permutations", type=int, default=100,
+    pat.add_argument("--permutations", type=_PERMUTATIONS, default=100,
                      help="permutation count x for the period detector")
     pat.add_argument(
         "--checkpoint-dir", metavar="DIR",
@@ -155,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "periodicity", help="run the §5.1 periodicity analysis"
     )
     add_dataset_args(per, engine=True)
-    per.add_argument("--permutations", type=int, default=100,
+    per.add_argument("--permutations", type=_PERMUTATIONS, default=100,
                      help="permutation count x for the period detector")
     per.add_argument(
         "--checkpoint-dir", metavar="DIR",
@@ -166,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ngram", help="run the §5.2 ngram prediction sweep (Table 3)"
     )
     add_dataset_args(ngram, engine=True)
-    ngram.add_argument("--order", type=int, default=1,
+    ngram.add_argument("--order", type=_POSITIVE_INT, default=1,
                        help="maximum ngram history length N")
     ngram.add_argument(
         "--checkpoint-dir", metavar="DIR",
@@ -195,14 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--stdin", action="store_true",
         help="read JSONL records from standard input",
     )
-    stream.add_argument("--window", type=float, default=300.0,
+    stream.add_argument("--window", type=_POSITIVE_FLOAT, default=300.0,
                         help="window width in seconds")
     stream.add_argument(
-        "--slide", type=float, default=None,
+        "--slide", type=_POSITIVE_FLOAT, default=None,
         help="slide in seconds (omit for tumbling windows)",
     )
     stream.add_argument(
-        "--watermark", type=float, default=0.0,
+        "--watermark", type=_NONNEGATIVE_FLOAT, default=0.0,
         help="watermark lag in seconds: the event-time disorder budget",
     )
     stream.add_argument(
@@ -216,11 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
              "without double-counting them",
     )
     stream.add_argument(
-        "--ingest-workers", type=int, default=1,
+        "--ingest-workers", type=_POSITIVE_INT, default=1,
         help="parallel source readers feeding the bounded queue",
     )
     stream.add_argument(
-        "--queue-size", type=int, default=65_536,
+        "--queue-size", type=_POSITIVE_INT, default=65_536,
         help="bounded ingest queue capacity (records)",
     )
     stream.add_argument(
@@ -228,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="full-queue behavior: backpressure (block) or counted "
              "shedding (drop)",
     )
-    stream.add_argument("--permutations", type=int, default=20,
+    stream.add_argument("--permutations", type=_PERMUTATIONS, default=20,
                         help="period-detector permutations per window")
-    stream.add_argument("--top-k", type=int, default=5,
+    stream.add_argument("--top-k", type=_POSITIVE_INT, default=5,
                         help="predicted next URLs per window snapshot")
     stream.add_argument(
         "--no-periods", action="store_true",
@@ -276,6 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_dataset(args: argparse.Namespace):
+    from .synth.workload import (
+        WorkloadBuilder,
+        long_term_config,
+        short_term_config,
+    )
+
     config = (
         short_term_config(args.requests, seed=args.seed)
         if args.dataset == "short"
@@ -291,6 +323,8 @@ def _load_or_generate(args: argparse.Namespace):
 
         return list(read_partitioned(args.logs_dir, on_error=on_error)), None
     if args.logs:
+        from .logs.io import read_logs
+
         return list(read_logs(args.logs, on_error=on_error)), None
     dataset = _build_dataset(args)
     categories = {d.name: d.category.value for d in dataset.domains}
@@ -307,6 +341,8 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .logs.io import write_logs
+
     dataset = _build_dataset(args)
     count = write_logs(dataset.logs, args.out)
     print(f"wrote {count} logs to {args.out}")
@@ -314,6 +350,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
+    from .core.pipeline import (
+        run_characterization,
+        run_characterization_parallel,
+    )
+
     workers = getattr(args, "workers", 1)
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     if getattr(args, "logs_dir", None) and (workers > 1 or checkpoint_dir):
@@ -339,6 +380,10 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_patterns(args: argparse.Namespace) -> int:
+    from .core.pipeline import (
+        run_pattern_analysis,
+        run_pattern_analysis_parallel,
+    )
     from .periodicity.detector import DetectorConfig
 
     detector_config = DetectorConfig(permutations=args.permutations)
@@ -370,6 +415,7 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
 
 
 def _cmd_periodicity(args: argparse.Namespace) -> int:
+    from .core.pipeline import render_periodicity, run_periodicity_parallel
     from .periodicity.detector import DetectorConfig
 
     detector_config = DetectorConfig(permutations=args.permutations)
@@ -389,6 +435,8 @@ def _cmd_periodicity(args: argparse.Namespace) -> int:
 
 
 def _cmd_ngram(args: argparse.Namespace) -> int:
+    from .core.pipeline import render_ngram, run_ngram_parallel
+
     kwargs = dict(
         ns=tuple(range(1, args.order + 1)),
         workers=getattr(args, "workers", 1),
@@ -405,6 +453,10 @@ def _cmd_ngram(args: argparse.Namespace) -> int:
 
 
 def _cmd_trend(args: argparse.Namespace) -> int:
+    from .analysis.trend import analyze_trend
+    from .core.report import render_bar_chart
+    from .synth.trend import TrendModel
+
     model = TrendModel(seed=args.seed)
     analysis = analyze_trend(model.series())
     yearly = [
@@ -430,8 +482,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from .periodicity.detector import DetectorConfig
     from .stream import JsonlEmitter, file_source, stdin_source, tail_source
 
-    if args.ingest_workers < 1:
-        raise SystemExit("--ingest-workers must be >= 1")
     detector_config = DetectorConfig(permutations=args.permutations)
     kwargs = dict(
         window_s=args.window,
@@ -523,6 +573,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_paper(args: argparse.Namespace) -> int:
+    from .core.pipeline import (
+        run_characterization,
+        run_characterization_parallel,
+        run_pattern_analysis,
+    )
+
     _cmd_trend(args)
     print()
     logs, categories = _load_or_generate(args)
@@ -608,13 +664,6 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be >= 1")
-    if getattr(args, "retries", 0) < 0:
-        parser.error("--retries must be >= 0")
-    shard_timeout = getattr(args, "shard_timeout", None)
-    if shard_timeout is not None and shard_timeout <= 0:
-        parser.error("--shard-timeout must be positive")
     sources = [
         flag
         for flag, dest in (("--logs", "logs"), ("--logs-dir", "logs_dir"),

@@ -1,26 +1,6 @@
 """The paper's core: taxonomy, end-to-end pipeline, reporting."""
 
-from .inventory import EXPERIMENTS, Experiment, experiments_by_kind
-from .pipeline import (
-    CharacterizationReport,
-    PatternReport,
-    run_characterization,
-    run_characterization_parallel,
-    run_ngram_parallel,
-    run_pattern_analysis,
-    run_pattern_analysis_parallel,
-    run_periodicity_parallel,
-)
-from .report import format_pct, render_bar_chart, render_heatmap, render_table
-from .stats import ecdf, histogram, relative_error, within
-from .taxonomy import (
-    AppClass,
-    DeviceType,
-    IndustryCategory,
-    RequestKind,
-    TrafficSource,
-    TriggerType,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Experiment",
@@ -49,3 +29,21 @@ __all__ = [
     "relative_error",
     "within",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".inventory": ("EXPERIMENTS", "Experiment", "experiments_by_kind"),
+    ".pipeline": (
+        "CharacterizationReport", "PatternReport", "run_characterization",
+        "run_characterization_parallel", "run_ngram_parallel",
+        "run_pattern_analysis", "run_pattern_analysis_parallel",
+        "run_periodicity_parallel",
+    ),
+    ".report": (
+        "format_pct", "render_bar_chart", "render_heatmap", "render_table",
+    ),
+    ".stats": ("ecdf", "histogram", "relative_error", "within"),
+    ".taxonomy": (
+        "AppClass", "DeviceType", "IndustryCategory", "RequestKind",
+        "TrafficSource", "TriggerType",
+    ),
+})

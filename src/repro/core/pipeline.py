@@ -36,7 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..analysis.cacheability import (
     CacheabilityHeatmap,
@@ -52,12 +61,16 @@ from ..analysis.sizes import SizeComparison, SizeDistribution, analyze_sizes
 from ..logs.record import RequestLog
 from ..logs.summary import DatasetSummary
 from ..obs.spans import span
-from ..ngram.evaluate import AccuracyResult, run_table3
 from ..useragent.appid import AppUsageReport, aggregate_apps
-from ..periodicity.detector import DetectorConfig
-from ..periodicity.flows import FlowFilter
-from ..periodicity.results import PeriodicityReport, analyze_logs
 from .report import format_pct, render_bar_chart, render_heatmap, render_table
+
+if TYPE_CHECKING:
+    # §5 types; the §5 functions import the modules when they run, so
+    # the §4 path loads neither the detector nor the ngram model.
+    from ..ngram.evaluate import AccuracyResult
+    from ..periodicity.detector import DetectorConfig
+    from ..periodicity.flows import FlowFilter
+    from ..periodicity.results import PeriodicityReport
 
 __all__ = [
     "CharacterizationReport",
@@ -510,6 +523,7 @@ def run_periodicity_parallel(
     """
     from ..engine.flowstate import FlowCollectionState
     from ..engine.shard import plan_item_shards
+    from ..periodicity.results import PeriodicityReport
 
     shards, num_shards = _plan_record_shards(
         logs, logs_dir, workers, num_shards, lenient=lenient
@@ -603,7 +617,7 @@ def run_ngram_parallel(
     """
     from ..engine.ngramstate import NgramSequenceState
     from ..engine.shard import plan_item_shards
-    from ..ngram.evaluate import split_clients
+    from ..ngram.evaluate import AccuracyResult, split_clients
     from ..ngram.model import BackoffNgramModel
 
     shards, num_shards = _plan_record_shards(
@@ -784,6 +798,9 @@ def run_pattern_analysis(
     ngram_ks: Sequence[int] = (1, 5, 10),
 ) -> PatternReport:
     """Run every §5 analysis over a log collection."""
+    from ..ngram.evaluate import run_table3
+    from ..periodicity.results import analyze_logs
+
     materialized = list(logs)
     periodicity = analyze_logs(
         materialized, flow_filter=flow_filter, detector_config=detector_config

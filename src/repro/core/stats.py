@@ -1,10 +1,14 @@
-"""Small shared statistics helpers used across analyses."""
+"""Small shared statistics helpers used across analyses.
+
+:func:`percentile` is the one percentile every report uses.  It is
+pure Python, so the §4 characterization path, which only counts and
+takes percentiles, never imports numpy.
+"""
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 __all__ = ["ecdf", "histogram", "percentile", "relative_error", "within"]
 
@@ -22,12 +26,27 @@ def percentile(values: Sequence[float], q: float) -> float:
     ``q`` is in percent, ``[0, 100]``.  Raises :class:`ValueError` on
     an empty sequence or an out-of-range ``q`` — an undefined
     percentile must never silently become a number.
+
+    The arithmetic is ``numpy.percentile``'s, step for step, so the
+    result equals it bit for bit on finite values: the values become
+    floats, the rank is ``(n - 1) * (q / 100)``, and numpy's ``_lerp``
+    interpolates from the upper neighbour once the fraction reaches
+    one half (``tests/test_core_stats.py`` checks this property).
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"q must be in [0, 100], got {q!r}")
     if len(values) == 0:
         raise ValueError("percentile of an empty sequence is undefined")
-    return float(np.percentile(np.asarray(values, dtype=float), q))
+    ordered = sorted(map(float, values))
+    n = len(ordered)
+    rank = (n - 1) * (q / 100)
+    index = math.floor(rank)
+    fraction = rank - index
+    low = ordered[index]
+    high = ordered[min(index + 1, n - 1)]
+    if fraction >= 0.5:
+        return high - (high - low) * (1 - fraction)
+    return low + (high - low) * fraction
 
 
 def ecdf(values: Sequence[float]) -> List[Tuple[float, float]]:

@@ -11,28 +11,7 @@ runs resume (:mod:`repro.engine.checkpoint`).
 See ``docs/engine.md`` for the flow diagram.
 """
 
-from .checkpoint import CheckpointError, CheckpointStore
-from .executor import (
-    BACKENDS,
-    EngineError,
-    RunReport,
-    ShardExecutor,
-    ShardResult,
-    run_shards,
-)
-from .flowstate import FlowCollectionState, PeriodicityDetectionState
-from .ngramstate import NgramEvalState, NgramSequenceState
-from .shard import (
-    FileShard,
-    ItemShard,
-    MemoryShard,
-    Shard,
-    plan_directory_shards,
-    plan_item_shards,
-    plan_memory_shards,
-    stable_hash64,
-)
-from .state import CharacterizationState
+from .._lazy import lazy_exports
 
 __all__ = [
     "BACKENDS",
@@ -57,3 +36,19 @@ __all__ = [
     "run_shards",
     "stable_hash64",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".checkpoint": ("CheckpointError", "CheckpointStore"),
+    ".executor": (
+        "BACKENDS", "EngineError", "RunReport", "ShardExecutor", "ShardResult",
+        "run_shards",
+    ),
+    ".flowstate": ("FlowCollectionState", "PeriodicityDetectionState"),
+    ".ngramstate": ("NgramEvalState", "NgramSequenceState"),
+    ".shard": (
+        "FileShard", "ItemShard", "MemoryShard", "Shard",
+        "plan_directory_shards", "plan_item_shards", "plan_memory_shards",
+        "stable_hash64",
+    ),
+    ".state": ("CharacterizationState",),
+})

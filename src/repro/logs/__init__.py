@@ -9,27 +9,7 @@ record types (:mod:`repro.logs.record`), schema validation
 (:mod:`repro.logs.summary`).
 """
 
-from .anonymize import IpAnonymizer, generate_key
-from .partition import (
-    bucket_name,
-    iter_partition_files,
-    read_partitioned,
-    write_partitioned,
-)
-from .merge import is_time_ordered, merge_files, merge_sorted, split_by_edge
-from .io import (
-    LineStats,
-    read_jsonl,
-    read_logs,
-    read_tsv,
-    write_jsonl,
-    write_logs,
-    write_tsv,
-)
-from .sampling import keep_fraction, sample_clients, sample_objects, sample_requests
-from .record import CacheStatus, HttpMethod, RequestLog, client_key, object_key
-from .schema import DEFAULT_SCHEMA, FieldSpec, LogSchema, SchemaError, ValidationIssue
-from .summary import DatasetSummary, summarize
+from .._lazy import lazy_exports
 
 __all__ = [
     "CacheStatus",
@@ -66,3 +46,29 @@ __all__ = [
     "DatasetSummary",
     "summarize",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".anonymize": ("IpAnonymizer", "generate_key"),
+    ".partition": (
+        "bucket_name", "iter_partition_files", "read_partitioned",
+        "write_partitioned",
+    ),
+    ".merge": (
+        "is_time_ordered", "merge_files", "merge_sorted", "split_by_edge",
+    ),
+    ".io": (
+        "LineStats", "read_jsonl", "read_logs", "read_tsv", "write_jsonl",
+        "write_logs", "write_tsv",
+    ),
+    ".sampling": (
+        "keep_fraction", "sample_clients", "sample_objects", "sample_requests",
+    ),
+    ".record": (
+        "CacheStatus", "HttpMethod", "RequestLog", "client_key", "object_key",
+    ),
+    ".schema": (
+        "DEFAULT_SCHEMA", "FieldSpec", "LogSchema", "SchemaError",
+        "ValidationIssue",
+    ),
+    ".summary": ("DatasetSummary", "summarize"),
+})

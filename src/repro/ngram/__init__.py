@@ -2,19 +2,7 @@
 backoff ngram model, and the Table 3 evaluation harness.
 """
 
-from .baseline import PerClientRecencyPredictor, PopularityPredictor
-from .clustering import UrlClusterer, cluster_segment, cluster_url
-from .evaluate import (
-    AccuracyResult,
-    build_client_sequences,
-    build_timed_client_sequences,
-    evaluate_topk,
-    run_table3,
-    split_clients,
-)
-from .model import BackoffNgramModel
-from .timing import GapStats, TimedNgramModel, TimedPrediction
-from .tokenize import TokenizedUrl, tokenize_url
+from .._lazy import lazy_exports
 
 __all__ = [
     "TokenizedUrl",
@@ -35,3 +23,16 @@ __all__ = [
     "evaluate_topk",
     "run_table3",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".baseline": ("PerClientRecencyPredictor", "PopularityPredictor"),
+    ".clustering": ("UrlClusterer", "cluster_segment", "cluster_url"),
+    ".evaluate": (
+        "AccuracyResult", "build_client_sequences",
+        "build_timed_client_sequences", "evaluate_topk", "run_table3",
+        "split_clients",
+    ),
+    ".model": ("BackoffNgramModel",),
+    ".timing": ("GapStats", "TimedNgramModel", "TimedPrediction"),
+    ".tokenize": ("TokenizedUrl", "tokenize_url"),
+})

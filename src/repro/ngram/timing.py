@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.stats import percentile
 from .model import BackoffNgramModel
 
 __all__ = ["GapStats", "TimedPrediction", "TimedNgramModel"]
@@ -49,7 +50,7 @@ class GapStats:
         return float(np.median(self.samples))
 
     def percentile_s(self, q: float) -> float:
-        return float(np.percentile(self.samples, q))
+        return percentile(self.samples, q)
 
 
 @dataclass(frozen=True)

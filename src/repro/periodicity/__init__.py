@@ -2,18 +2,7 @@
 permutation thresholds, and dataset-level aggregation.
 """
 
-from .autocorr import acf_local_peak, acf_peak, autocorrelation, bin_series
-from .detector import DetectedPeriod, DetectorConfig, PeriodDetector
-from .multiperiod import MultiPeriodDetector, PeriodComponent
-from .phase import PhaseProfile, object_phase_profile, phase_coherence
-from .flows import ClientObjectFlow, FlowFilter, ObjectFlow, extract_flows
-from .results import (
-    ObjectPeriodicity,
-    PeriodicityReport,
-    analyze_flows,
-    analyze_logs,
-)
-from .spectrum import dominant_frequencies, frequency_to_period_bins, periodogram
+from .._lazy import lazy_exports
 
 __all__ = [
     "bin_series",
@@ -40,3 +29,22 @@ __all__ = [
     "analyze_flows",
     "analyze_logs",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".autocorr": (
+        "acf_local_peak", "acf_peak", "autocorrelation", "bin_series",
+    ),
+    ".detector": ("DetectedPeriod", "DetectorConfig", "PeriodDetector"),
+    ".multiperiod": ("MultiPeriodDetector", "PeriodComponent"),
+    ".phase": ("PhaseProfile", "object_phase_profile", "phase_coherence"),
+    ".flows": (
+        "ClientObjectFlow", "FlowFilter", "ObjectFlow", "extract_flows",
+    ),
+    ".results": (
+        "ObjectPeriodicity", "PeriodicityReport", "analyze_flows",
+        "analyze_logs",
+    ),
+    ".spectrum": (
+        "dominant_frequencies", "frequency_to_period_bins", "periodogram",
+    ),
+})

@@ -27,27 +27,7 @@ See ``docs/streaming.md`` for the windowing model and the
 resume-from-checkpoint walkthrough.
 """
 
-from .accumulators import (
-    ALL_TRACKS,
-    WindowAccumulator,
-    merge_accumulators,
-    merged_characterization,
-    merged_ngram,
-    merged_pattern_report,
-    merged_periodicity,
-)
-from .ingest import IngestStage, IngestStats
-from .service import StreamConfig, StreamResult, StreamService, window_id
-from .snapshots import JsonlEmitter, SnapshotBuilder, WindowSnapshot
-from .sources import (
-    directory_sources,
-    file_source,
-    iterable_source,
-    merged_directory_source,
-    stdin_source,
-    tail_source,
-)
-from .windows import WatermarkClock, WindowBounds, WindowManager, WindowSpec
+from .._lazy import lazy_exports
 
 __all__ = [
     "ALL_TRACKS",
@@ -77,3 +57,21 @@ __all__ = [
     "tail_source",
     "window_id",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".accumulators": (
+        "ALL_TRACKS", "WindowAccumulator", "merge_accumulators",
+        "merged_characterization", "merged_ngram", "merged_pattern_report",
+        "merged_periodicity",
+    ),
+    ".ingest": ("IngestStage", "IngestStats"),
+    ".service": ("StreamConfig", "StreamResult", "StreamService", "window_id"),
+    ".snapshots": ("JsonlEmitter", "SnapshotBuilder", "WindowSnapshot"),
+    ".sources": (
+        "directory_sources", "file_source", "iterable_source",
+        "merged_directory_source", "stdin_source", "tail_source",
+    ),
+    ".windows": (
+        "WatermarkClock", "WindowBounds", "WindowManager", "WindowSpec",
+    ),
+})

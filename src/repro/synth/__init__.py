@@ -6,35 +6,7 @@ human session traffic, periodic machine traffic, response-size and
 multi-year trend models, and the two Table 2 dataset builders.
 """
 
-from .calibration import PAPER, PaperTargets
-from .clients import DEFAULT_SEGMENT_MIX, Client, ClientPopulation, ClientSegment
-from .domains import (
-    CATEGORY_DOMAIN_SHARE,
-    CATEGORY_POLICY_MIX,
-    CachePolicy,
-    CachePolicyKind,
-    DomainPopulation,
-    DomainProfile,
-    Endpoint,
-    EndpointKind,
-)
-from .periodic import CANONICAL_PERIODS, PeriodicAgent, PeriodicObjectSpec
-from .regions import DEFAULT_REGIONS, Region, assign_regions
-from .rng import substream, weighted_choice, zipf_weights
-from .scenarios import fleet_with_rogue, flash_crowd, iot_fleet, scanner_probe
-from .sessions import RequestEvent, SessionConfig, SessionGenerator
-from .sizes import KIND_SIGMA, SizeModel, json_size_scale
-from .trend import MonthlyVolume, TrendModel
-from .validation import CalibrationCheck, ValidationReport, validate_dataset
-from .workload import (
-    EPOCH_2019,
-    Dataset,
-    GroundTruth,
-    WorkloadBuilder,
-    WorkloadConfig,
-    long_term_config,
-    short_term_config,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "PAPER",
@@ -83,3 +55,31 @@ __all__ = [
     "long_term_config",
     "EPOCH_2019",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".calibration": ("PAPER", "PaperTargets"),
+    ".clients": (
+        "DEFAULT_SEGMENT_MIX", "Client", "ClientPopulation", "ClientSegment",
+    ),
+    ".domains": (
+        "CATEGORY_DOMAIN_SHARE", "CATEGORY_POLICY_MIX", "CachePolicy",
+        "CachePolicyKind", "DomainPopulation", "DomainProfile", "Endpoint",
+        "EndpointKind",
+    ),
+    ".periodic": ("CANONICAL_PERIODS", "PeriodicAgent", "PeriodicObjectSpec"),
+    ".regions": ("DEFAULT_REGIONS", "Region", "assign_regions"),
+    ".rng": ("substream", "weighted_choice", "zipf_weights"),
+    ".scenarios": (
+        "fleet_with_rogue", "flash_crowd", "iot_fleet", "scanner_probe",
+    ),
+    ".sessions": ("RequestEvent", "SessionConfig", "SessionGenerator"),
+    ".sizes": ("KIND_SIGMA", "SizeModel", "json_size_scale"),
+    ".trend": ("MonthlyVolume", "TrendModel"),
+    ".validation": (
+        "CalibrationCheck", "ValidationReport", "validate_dataset",
+    ),
+    ".workload": (
+        "EPOCH_2019", "Dataset", "GroundTruth", "WorkloadBuilder",
+        "WorkloadConfig", "long_term_config", "short_term_config",
+    ),
+})

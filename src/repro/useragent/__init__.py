@@ -2,27 +2,7 @@
 and a generation grammar for the synthetic-traffic model.
 """
 
-from .appid import AppIdentity, AppUsageReport, aggregate_apps, identify_app
-from .classify import UserAgentClassifier, classify_user_agent
-from .database import (
-    BROWSER_DATABASE,
-    DEVICE_DATABASE,
-    SDK_TOKENS,
-    BrowserEntry,
-    DeviceEntry,
-    lookup_browser,
-    lookup_device,
-)
-from .parser import ParsedUserAgent, ProductToken, parse_user_agent
-from .strings import (
-    UA_FACTORIES,
-    make_desktop_browser_ua,
-    make_embedded_ua,
-    make_malformed_ua,
-    make_mobile_app_ua,
-    make_mobile_browser_ua,
-    make_sdk_ua,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "AppIdentity",
@@ -49,3 +29,20 @@ __all__ = [
     "make_sdk_ua",
     "make_malformed_ua",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".appid": (
+        "AppIdentity", "AppUsageReport", "aggregate_apps", "identify_app",
+    ),
+    ".classify": ("UserAgentClassifier", "classify_user_agent"),
+    ".database": (
+        "BROWSER_DATABASE", "DEVICE_DATABASE", "SDK_TOKENS", "BrowserEntry",
+        "DeviceEntry", "lookup_browser", "lookup_device",
+    ),
+    ".parser": ("ParsedUserAgent", "ProductToken", "parse_user_agent"),
+    ".strings": (
+        "UA_FACTORIES", "make_desktop_browser_ua", "make_embedded_ua",
+        "make_malformed_ua", "make_mobile_app_ua", "make_mobile_browser_ua",
+        "make_sdk_ua",
+    ),
+})

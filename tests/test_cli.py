@@ -131,6 +131,42 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["characterize", "--requests", "100", "--retries", "-1"])
 
+    @pytest.mark.parametrize(
+        "argv, flag, bound",
+        [
+            (["stream", "--window", "0"], "--window", "> 0"),
+            (["stream", "--window", "-5"], "--window", "> 0"),
+            (["stream", "--slide", "0"], "--slide", "> 0"),
+            (["stream", "--watermark", "-1"], "--watermark", ">= 0"),
+            (["stream", "--top-k", "0"], "--top-k", ">= 1"),
+            (["stream", "--queue-size", "0"], "--queue-size", ">= 1"),
+            (["stream", "--ingest-workers", "0"], "--ingest-workers", ">= 1"),
+            (["ngram", "--order", "0"], "--order", ">= 1"),
+            (["periodicity", "--permutations", "-1"], "--permutations",
+             ">= 2"),
+            (["patterns", "--permutations", "0"], "--permutations", ">= 2"),
+            (["stream", "--permutations", "1"], "--permutations", ">= 2"),
+        ],
+    )
+    def test_numeric_argument_out_of_range(self, capsys, argv, flag, bound):
+        # --requests keeps a run that wrongly starts from taking long.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--requests", "200"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith(f"repro-json-cdn {argv[0]}: error: ")
+        assert f"error: argument {flag}: must be {bound}, got " in last
+
+    def test_unparsable_number_names_the_type(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stream", "--window", "soon"])
+        assert excinfo.value.code == 2
+        assert "argument --window: invalid float value: 'soon'" in (
+            capsys.readouterr().err
+        )
+
     def test_nonpositive_shard_timeout_rejected(self):
         with pytest.raises(SystemExit):
             main(["characterize", "--requests", "100", "--shard-timeout", "0"])

@@ -10,11 +10,26 @@ of the same definition.
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.sizes import SizeDistribution
 from repro.cdn import metrics as cdn_metrics
 from repro.core import stats
 from repro.obs.sketch import QuantileSketch
+
+# Magnitudes bounded so that ``b - a`` cannot overflow to inf (where
+# both sides give nan, which never compares equal).
+_ints = st.integers(min_value=-(10**12), max_value=10**12)
+_floats = st.floats(
+    min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False
+)
+_qs = st.one_of(
+    st.sampled_from([0, 0.0, 5, 25, 50, 75, 95, 99, 100, 100.0]),
+    st.floats(min_value=0.0, max_value=100.0),
+)
 
 
 class TestCanonicalPercentile:
@@ -39,6 +54,39 @@ class TestCanonicalPercentile:
         )
 
 
+class TestMatchesNumpy:
+    """The pure-Python percentile is numpy's default, bit for bit."""
+
+    @given(st.lists(_ints, min_size=1, max_size=80), _qs)
+    @settings(max_examples=400, deadline=None)
+    def test_int_lists(self, values, q):
+        assert stats.percentile(values, q) == np.percentile(
+            np.asarray(values, dtype=float), q
+        )
+
+    @given(st.lists(_floats, min_size=1, max_size=80), _qs)
+    @settings(max_examples=400, deadline=None)
+    def test_float_lists(self, values, q):
+        assert stats.percentile(values, q) == np.percentile(values, q)
+
+    @given(_floats, _qs)
+    @settings(max_examples=100, deadline=None)
+    def test_single_value(self, value, q):
+        assert stats.percentile([value], q) == np.percentile([value], q)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=10**9), min_size=1,
+                 max_size=200),
+        _qs,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_size_distribution_routes_through_it(self, sizes, q):
+        dist = SizeDistribution("application/json", list(sizes))
+        assert dist.percentile(q) == np.percentile(sizes, q)
+        assert dist.percentile(q) == stats.percentile(sizes, q)
+        assert dist.mean == np.mean(sizes)
+
+
 class TestCrossModuleConsistency:
     def test_cdn_metrics_is_the_same_function(self):
         data = [random.Random(3).uniform(0, 100) for _ in range(500)]
@@ -46,6 +94,22 @@ class TestCrossModuleConsistency:
             assert cdn_metrics.percentile(data, q) == stats.percentile(
                 data, q
             )
+
+    def test_session_gap_and_wait_percentiles_are_canonical(self):
+        from repro.analysis.sessionize import SessionStats
+        from repro.cdn.scheduler import ClassMetrics
+        from repro.ngram.timing import GapStats
+
+        rng = random.Random(5)
+        data = [rng.uniform(0, 50) for _ in range(101)]
+        lengths = [rng.randint(1, 40) for _ in range(101)]
+        for q in (0, 25, 50, 95, 100):
+            expected = stats.percentile(data, q)
+            assert GapStats(list(data)).percentile_s(q) == expected
+            assert ClassMetrics(list(data)).percentile_wait_s(q) == expected
+            assert SessionStats(lengths=list(lengths)).length_percentile(
+                q
+            ) == stats.percentile(lengths, q)
 
     def test_drift_p50_matches_canonical(self):
         # traffic_metrics computes p50_json_bytes via the canonical
