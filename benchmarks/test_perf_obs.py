@@ -19,7 +19,8 @@ import os
 import time
 
 from repro import obs
-from repro.core.pipeline import run_characterization_parallel, run_stream
+from repro.core.pipeline import run_characterization, run_stream
+from repro.engine import EngineOptions
 from repro.obs import runtime
 from repro.obs.registry import MetricsRegistry
 from repro.synth.workload import WorkloadBuilder, short_term_config
@@ -83,9 +84,9 @@ def test_perf_obs_engine_overhead():
     ).build().logs
 
     def run():
-        run_characterization_parallel(
-            logs, workers=WORKERS, backend="thread", num_shards=NUM_SHARDS
-        )
+        run_characterization(logs, engine=EngineOptions(
+            workers=WORKERS, backend="thread", num_shards=NUM_SHARDS
+        ))
 
     def run_instrumented():
         with obs.installed(MetricsRegistry()):

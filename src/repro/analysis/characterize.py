@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Optional
 
 from ..core.taxonomy import AppClass, DeviceType
 from ..logs.record import HttpMethod, RequestLog
-from ..useragent.classify import UserAgentClassifier
+from ..useragent.classify import SHARED_CLASSIFIER, UserAgentClassifier
 
 __all__ = ["TrafficSourceBreakdown", "RequestTypeBreakdown", "characterize"]
 
@@ -172,7 +172,7 @@ def characterize(
 
     Returns ``(TrafficSourceBreakdown, RequestTypeBreakdown)``.
     """
-    classifier = classifier or UserAgentClassifier()
+    classifier = classifier or SHARED_CLASSIFIER
     source = TrafficSourceBreakdown()
     request_type = RequestTypeBreakdown()
     for record in logs:

@@ -9,9 +9,10 @@ to absorb.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict
+
+from ..core.stats import ranked
 
 __all__ = ["OriginFleet", "OriginStats"]
 
@@ -50,7 +51,9 @@ class OriginFleet:
         return 1.0 - self.total_requests / total_cdn_requests
 
     def top_domains(self, count: int = 10) -> Dict[str, int]:
-        counter = Counter(
-            {domain: stats.requests for domain, stats in self._per_domain.items()}
+        """Most-requested domains, ties broken by name."""
+        return dict(
+            ranked(
+                {domain: stats.requests for domain, stats in self._per_domain.items()}
+            )[:count]
         )
-        return dict(counter.most_common(count))

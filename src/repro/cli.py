@@ -15,18 +15,23 @@ Subcommands mirror the reproduction workflow::
 
 ``generate`` writes a synthetic dataset to disk; the analysis
 commands accept ``--logs <file>``, ``--logs-dir <partitioned dir>``
-(the layout written by ``repro.logs.partition``), or generate a
-dataset on the fly.  ``--workers N`` routes the §4 characterization,
-the §5.1 periodicity analysis (``periodicity``), and the §5.2 ngram
-sweep (``ngram``) through the sharded engine (``repro.engine``);
-``--checkpoint-dir`` makes any engine run resumable.  ``paper`` runs
-the whole evaluation and prints every table and figure.  ``stream``
+(the layout written by ``repro.logs.partition``; anything else is a
+usage error), or generate a dataset on the fly.  Each analysis
+command (``characterize``, ``patterns``, ``periodicity``, ``ngram``,
+``paper``) builds one ``repro.engine.EngineOptions`` from
+``--workers``/``--shard-timeout``/``--retries``/``--lenient`` (and
+``--checkpoint-dir``, which makes the run resumable) and calls one
+entry point of ``repro.core.pipeline``, which always runs the sharded
+engine: ``--workers 1`` is the engine at one worker, so output does
+not depend on the worker count.  ``paper`` runs the whole evaluation
+and prints every table and figure.  ``replay`` runs no engine stage
+and takes only the input flags.  ``stream``
 runs the online windowed service (``repro.stream``) over a file, a
 partitioned directory, a growing file (``--follow``) or stdin,
 emitting one JSONL snapshot per sealed event-time window and resuming
 sealed windows from ``--checkpoint-dir`` after a kill.
 
-Every engine-backed command and ``stream`` also accept ``--metrics
+Every analysis command, ``replay`` and ``stream`` also accept ``--metrics
 FILE`` (export a metrics snapshot after the run: Prometheus text
 exposition, or the JSON snapshot with a ``.json`` suffix) and
 ``--trace FILE`` (recorded stage spans as JSONL) — see
@@ -113,9 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="write recorded stage spans as JSONL after the run",
         )
 
-    def add_dataset_args(
-        p: argparse.ArgumentParser, engine: bool = False
-    ) -> None:
+    def add_dataset_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--dataset",
             choices=("short", "long"),
@@ -127,34 +130,48 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--logs", metavar="FILE",
                        help="read logs from FILE instead of generating")
-        if engine:
+
+    def add_input_args(p: argparse.ArgumentParser) -> None:
+        """Dataset flags plus the inputs and telemetry of a log reader."""
+        add_dataset_args(p)
+        p.add_argument(
+            "--logs-dir", metavar="DIR",
+            help="read logs from a partitioned directory "
+                 "(repro.logs.partition layout) instead of generating",
+        )
+        p.add_argument(
+            "--lenient", action="store_true",
+            help="skip (and count) malformed log lines instead of "
+                 "failing the read",
+        )
+        add_obs_args(p)
+
+    def add_engine_args(
+        p: argparse.ArgumentParser, checkpoint: bool = True
+    ) -> None:
+        """Input flags plus the sharded engine's knobs."""
+        add_input_args(p)
+        p.add_argument(
+            "--workers", type=_POSITIVE_INT, default=1,
+            help="worker count for the sharded analysis engine "
+                 "(1 = serial)",
+        )
+        p.add_argument(
+            "--shard-timeout", type=_POSITIVE_FLOAT, default=None,
+            metavar="SECONDS", dest="shard_timeout",
+            help="abandon a pooled shard attempt after this many "
+                 "seconds and retry it (thread/process backends)",
+        )
+        p.add_argument(
+            "--retries", type=_NONNEGATIVE_INT, default=0,
+            help="extra attempts per failed or timed-out shard, "
+                 "with exponential backoff",
+        )
+        if checkpoint:
             p.add_argument(
-                "--logs-dir", metavar="DIR",
-                help="read logs from a partitioned directory "
-                     "(repro.logs.partition layout) instead of generating",
+                "--checkpoint-dir", metavar="DIR",
+                help="persist per-shard partial states for resumable runs",
             )
-            p.add_argument(
-                "--workers", type=_POSITIVE_INT, default=1,
-                help="worker count for the sharded analysis engine "
-                     "(1 = serial)",
-            )
-            p.add_argument(
-                "--shard-timeout", type=_POSITIVE_FLOAT, default=None,
-                metavar="SECONDS", dest="shard_timeout",
-                help="abandon a pooled shard attempt after this many "
-                     "seconds and retry it (thread/process backends)",
-            )
-            p.add_argument(
-                "--retries", type=_NONNEGATIVE_INT, default=0,
-                help="extra attempts per failed or timed-out shard, "
-                     "with exponential backoff",
-            )
-            p.add_argument(
-                "--lenient", action="store_true",
-                help="skip (and count) malformed log lines instead of "
-                     "failing the read",
-            )
-            add_obs_args(p)
 
     gen = sub.add_parser("generate", help="generate a synthetic dataset")
     add_dataset_args(gen)
@@ -162,42 +179,26 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output path (.jsonl/.tsv, optionally .gz)")
 
     cha = sub.add_parser("characterize", help="run the §4 characterization")
-    add_dataset_args(cha, engine=True)
-    cha.add_argument(
-        "--checkpoint-dir", metavar="DIR",
-        help="persist per-shard partial states for resumable runs",
-    )
+    add_engine_args(cha)
 
     pat = sub.add_parser("patterns", help="run the §5 pattern analyses")
-    add_dataset_args(pat, engine=True)
+    add_engine_args(pat)
     pat.add_argument("--permutations", type=_PERMUTATIONS, default=100,
                      help="permutation count x for the period detector")
-    pat.add_argument(
-        "--checkpoint-dir", metavar="DIR",
-        help="persist per-shard partial states for resumable runs",
-    )
 
     per = sub.add_parser(
         "periodicity", help="run the §5.1 periodicity analysis"
     )
-    add_dataset_args(per, engine=True)
+    add_engine_args(per)
     per.add_argument("--permutations", type=_PERMUTATIONS, default=100,
                      help="permutation count x for the period detector")
-    per.add_argument(
-        "--checkpoint-dir", metavar="DIR",
-        help="persist per-shard partial states for resumable runs",
-    )
 
     ngram = sub.add_parser(
         "ngram", help="run the §5.2 ngram prediction sweep (Table 3)"
     )
-    add_dataset_args(ngram, engine=True)
+    add_engine_args(ngram)
     ngram.add_argument("--order", type=_POSITIVE_INT, default=1,
                        help="maximum ngram history length N")
-    ngram.add_argument(
-        "--checkpoint-dir", metavar="DIR",
-        help="persist per-shard partial states for resumable runs",
-    )
 
     trend = sub.add_parser("trend", help="print the Figure 1 ratio series")
     trend.add_argument("--seed", type=int, default=0)
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_args(stream)
 
     paper = sub.add_parser("paper", help="reproduce every table and figure")
-    add_dataset_args(paper, engine=True)
+    add_engine_args(paper, checkpoint=False)
 
     validate = sub.add_parser(
         "validate",
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         help="what-if TTL sweep: replay a JSON trace under alternative policies",
     )
-    add_dataset_args(replay, engine=True)
+    add_input_args(replay)
     replay.add_argument(
         "--ttls",
         default="30,300,3600",
@@ -331,12 +332,29 @@ def _load_or_generate(args: argparse.Namespace):
     return dataset.logs, categories
 
 
-def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """The hardening knobs every engine-backed command forwards."""
-    return dict(
-        shard_timeout_s=getattr(args, "shard_timeout", None),
-        retries=getattr(args, "retries", 0),
-        lenient=getattr(args, "lenient", False),
+def _analysis_inputs(args: argparse.Namespace):
+    """``(logs, domain_categories, logs_dir)`` of an engine command.
+
+    A partitioned directory goes to the engine as is (its shards
+    stream their own files, nothing materializes up front); a log
+    file or a generated dataset arrives as records.
+    """
+    if args.logs_dir:
+        return None, None, args.logs_dir
+    logs, categories = _load_or_generate(args)
+    return logs, categories, None
+
+
+def _engine_options(args: argparse.Namespace):
+    """The one :class:`~repro.engine.options.EngineOptions` of a run."""
+    from .engine.options import EngineOptions
+
+    return EngineOptions(
+        workers=args.workers,
+        checkpoint_dir=getattr(args, "checkpoint_dir", None),
+        shard_timeout_s=args.shard_timeout,
+        retries=args.retries,
+        lenient=args.lenient,
     )
 
 
@@ -350,104 +368,56 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    from .core.pipeline import (
-        run_characterization,
-        run_characterization_parallel,
-    )
+    from .core.pipeline import run_characterization
 
-    workers = getattr(args, "workers", 1)
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    if getattr(args, "logs_dir", None) and (workers > 1 or checkpoint_dir):
-        # Engine path straight off the partitioned directory: shards
-        # stream their own files, nothing materializes up front.
-        report = run_characterization_parallel(
-            logs_dir=args.logs_dir,
-            workers=workers,
-            checkpoint_dir=checkpoint_dir,
-            **_engine_kwargs(args),
-        )
-    else:
-        logs, categories = _load_or_generate(args)
-        if workers > 1 or checkpoint_dir:
-            report = run_characterization_parallel(
-                logs, categories, workers=workers,
-                checkpoint_dir=checkpoint_dir, **_engine_kwargs(args),
-            )
-        else:
-            report = run_characterization(logs, categories)
+    logs, categories, logs_dir = _analysis_inputs(args)
+    report = run_characterization(
+        logs, categories, logs_dir=logs_dir, engine=_engine_options(args)
+    )
     print(report.render(args.dataset))
     return 0
 
 
 def _cmd_patterns(args: argparse.Namespace) -> int:
-    from .core.pipeline import (
-        run_pattern_analysis,
-        run_pattern_analysis_parallel,
-    )
+    from .core.pipeline import run_pattern_analysis
     from .periodicity.detector import DetectorConfig
 
-    detector_config = DetectorConfig(permutations=args.permutations)
-    workers = getattr(args, "workers", 1)
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    if workers > 1 or checkpoint_dir:
-        if getattr(args, "logs_dir", None):
-            report = run_pattern_analysis_parallel(
-                logs_dir=args.logs_dir,
-                detector_config=detector_config,
-                workers=workers,
-                checkpoint_dir=checkpoint_dir,
-                **_engine_kwargs(args),
-            )
-        else:
-            logs, _ = _load_or_generate(args)
-            report = run_pattern_analysis_parallel(
-                logs,
-                detector_config=detector_config,
-                workers=workers,
-                checkpoint_dir=checkpoint_dir,
-                **_engine_kwargs(args),
-            )
-    else:
-        logs, _ = _load_or_generate(args)
-        report = run_pattern_analysis(logs, detector_config=detector_config)
+    logs, _, logs_dir = _analysis_inputs(args)
+    report = run_pattern_analysis(
+        logs,
+        logs_dir=logs_dir,
+        detector_config=DetectorConfig(permutations=args.permutations),
+        engine=_engine_options(args),
+    )
     print(report.render())
     return 0
 
 
 def _cmd_periodicity(args: argparse.Namespace) -> int:
-    from .core.pipeline import render_periodicity, run_periodicity_parallel
+    from .core.pipeline import render_periodicity, run_periodicity
     from .periodicity.detector import DetectorConfig
 
-    detector_config = DetectorConfig(permutations=args.permutations)
-    kwargs = dict(
-        detector_config=detector_config,
-        workers=getattr(args, "workers", 1),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        **_engine_kwargs(args),
+    logs, _, logs_dir = _analysis_inputs(args)
+    report = run_periodicity(
+        logs,
+        logs_dir=logs_dir,
+        detector_config=DetectorConfig(permutations=args.permutations),
+        engine=_engine_options(args),
     )
-    if getattr(args, "logs_dir", None):
-        report = run_periodicity_parallel(logs_dir=args.logs_dir, **kwargs)
-    else:
-        logs, _ = _load_or_generate(args)
-        report = run_periodicity_parallel(logs, **kwargs)
     print(render_periodicity(report))
     return 0
 
 
 def _cmd_ngram(args: argparse.Namespace) -> int:
-    from .core.pipeline import render_ngram, run_ngram_parallel
+    from .core.pipeline import render_ngram, run_ngram
 
-    kwargs = dict(
+    logs, _, logs_dir = _analysis_inputs(args)
+    results = run_ngram(
+        logs,
+        logs_dir=logs_dir,
         ns=tuple(range(1, args.order + 1)),
-        workers=getattr(args, "workers", 1),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        **_engine_kwargs(args),
+        engine=_engine_options(args),
     )
-    if getattr(args, "logs_dir", None):
-        results = run_ngram_parallel(logs_dir=args.logs_dir, **kwargs)
-    else:
-        logs, _ = _load_or_generate(args)
-        results = run_ngram_parallel(logs, **kwargs)
     print(render_ngram(results))
     return 0
 
@@ -573,23 +543,18 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_paper(args: argparse.Namespace) -> int:
-    from .core.pipeline import (
-        run_characterization,
-        run_characterization_parallel,
-        run_pattern_analysis,
-    )
+    from .core.pipeline import run_characterization, run_pattern_analysis
 
     _cmd_trend(args)
     print()
-    logs, categories = _load_or_generate(args)
-    workers = getattr(args, "workers", 1)
-    if workers > 1:
-        report = run_characterization_parallel(logs, categories, workers=workers)
-    else:
-        report = run_characterization(logs, categories)
+    logs, categories, logs_dir = _analysis_inputs(args)
+    engine = _engine_options(args)
+    report = run_characterization(
+        logs, categories, logs_dir=logs_dir, engine=engine
+    )
     print(report.render(args.dataset))
     print()
-    print(run_pattern_analysis(logs).render())
+    print(run_pattern_analysis(logs, logs_dir=logs_dir, engine=engine).render())
     return 0
 
 
@@ -675,8 +640,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "logs", None) and not Path(args.logs).exists():
         parser.error(f"--logs: no such file: {args.logs}")
     logs_dir = getattr(args, "logs_dir", None)
-    if logs_dir and not Path(logs_dir).is_dir():
-        parser.error(f"--logs-dir: no such directory: {logs_dir}")
+    if logs_dir:
+        if not Path(logs_dir).is_dir():
+            parser.error(f"--logs-dir: no such directory: {logs_dir}")
+        from .logs.partition import check_layout
+
+        try:
+            check_layout(logs_dir)
+        except ValueError as error:
+            parser.error(f"--logs-dir: {error}")
     metrics_path = getattr(args, "metrics", None)
     trace_path = getattr(args, "trace", None)
     if not (metrics_path or trace_path):

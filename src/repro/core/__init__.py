@@ -15,11 +15,9 @@ __all__ = [
     "CharacterizationReport",
     "PatternReport",
     "run_characterization",
-    "run_characterization_parallel",
-    "run_ngram_parallel",
+    "run_ngram",
     "run_pattern_analysis",
-    "run_pattern_analysis_parallel",
-    "run_periodicity_parallel",
+    "run_periodicity",
     "render_table",
     "render_bar_chart",
     "render_heatmap",
@@ -34,9 +32,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".inventory": ("EXPERIMENTS", "Experiment", "experiments_by_kind"),
     ".pipeline": (
         "CharacterizationReport", "PatternReport", "run_characterization",
-        "run_characterization_parallel", "run_ngram_parallel",
-        "run_pattern_analysis", "run_pattern_analysis_parallel",
-        "run_periodicity_parallel",
+        "run_ngram", "run_pattern_analysis", "run_periodicity",
     ),
     ".report": (
         "format_pct", "render_bar_chart", "render_heatmap", "render_table",

@@ -1,41 +1,34 @@
 """End-to-end analysis pipeline: logs in, paper artifacts out.
 
-:func:`run_characterization` reproduces §4 (traffic source, request
-type, response type) and :func:`run_pattern_analysis` reproduces §5
-(periodicity + prediction) over any iterable of
-:class:`repro.logs.record.RequestLog` — synthetic or real.
-:meth:`CharacterizationReport.render` prints the §4 findings as text.
+One entry point per analysis, each over exactly one input — an
+iterable of :class:`repro.logs.record.RequestLog` (synthetic or real)
+or a partitioned log directory:
 
-:func:`run_characterization_parallel` produces the same §4 report
-through the sharded engine (:mod:`repro.engine`): the dataset splits
-into shards, each shard folds into a mergeable
-:class:`~repro.engine.state.CharacterizationState`, and the merged
-state finalizes into a report whose counter metrics are identical to
-the serial ones.
+* :func:`run_characterization` — §4 (traffic source, request type,
+  cacheability, sizes, applications);
+* :func:`run_periodicity` — §5.1, Figure 5;
+* :func:`run_ngram` — §5.2, Table 3;
+* :func:`run_pattern_analysis` — all of §5 in one record pass.
+
+Every entry point always runs the sharded engine (:mod:`repro.engine`)
+under one :class:`~repro.engine.options.EngineOptions`: records fold
+into a mergeable :class:`~repro.engine.tracks.TrackState` per shard,
+the states merge in plan order, and the merged state finalizes, fanning
+§5's heavy work (period detection, ngram training and evaluation) back
+out as item stages.  A serial run is the engine at one worker on the
+``serial`` backend, so results are identical for any worker count,
+backend or shard split.
 
 :func:`run_stream` is the online entry point: it feeds a log source
 through the event-time windowed service (:mod:`repro.stream`), whose
-per-window accumulators are the same mergeable engine states — so
-merging all sealed windows of a replay reproduces the batch results
-exactly (see :mod:`repro.stream.accumulators`).
-
-:func:`run_periodicity_parallel` and :func:`run_ngram_parallel`
-extend the same contract to the paper's two most expensive analyses.
-Both run in engine stages: a record map stage folds shards into
-mergeable state (flow timestamp-unions for §5.1, per-client token
-buffers for §5.2), the merged state finalizes, and the heavy
-computation — period detection over object flows, ngram training and
-top-K evaluation over client sequences — fans back out as item-shard
-map stages over the merged state.  Results are identical to
-:func:`run_pattern_analysis`'s serial path for any worker count,
-backend, or shard split.
+per-window accumulators are the same track states — so merging all
+sealed windows of a replay reproduces the batch results exactly (see
+:mod:`repro.stream.accumulators`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -47,30 +40,27 @@ from typing import (
     Tuple,
 )
 
-from ..analysis.cacheability import (
-    CacheabilityHeatmap,
-    CacheabilityStats,
-    analyze_cacheability,
-)
-from ..analysis.characterize import (
-    RequestTypeBreakdown,
-    TrafficSourceBreakdown,
-    characterize,
-)
-from ..analysis.sizes import SizeComparison, SizeDistribution, analyze_sizes
-from ..logs.record import RequestLog
-from ..logs.summary import DatasetSummary
-from ..obs.spans import span
-from ..useragent.appid import AppUsageReport, aggregate_apps
+from ..engine.options import EngineOptions
+from ..engine.tracks import detect_periods, evaluate_ngram, fold_records
 from .report import format_pct, render_bar_chart, render_heatmap, render_table
 
 if TYPE_CHECKING:
-    # §5 types; the §5 functions import the modules when they run, so
-    # the §4 path loads neither the detector nor the ngram model.
+    # Report field types.  The §5 modules load only when a §5 stage
+    # runs, so the §4 path loads neither the detector nor the ngram
+    # model (nor numpy).
+    from ..analysis.cacheability import CacheabilityHeatmap, CacheabilityStats
+    from ..analysis.characterize import (
+        RequestTypeBreakdown,
+        TrafficSourceBreakdown,
+    )
+    from ..analysis.sizes import SizeComparison, SizeDistribution
+    from ..logs.record import RequestLog
+    from ..logs.summary import DatasetSummary
     from ..ngram.evaluate import AccuracyResult
     from ..periodicity.detector import DetectorConfig
     from ..periodicity.flows import FlowFilter
     from ..periodicity.results import PeriodicityReport
+    from ..useragent.appid import AppUsageReport
 
 __all__ = [
     "CharacterizationReport",
@@ -78,11 +68,9 @@ __all__ = [
     "render_periodicity",
     "render_ngram",
     "run_characterization",
-    "run_characterization_parallel",
+    "run_ngram",
     "run_pattern_analysis",
-    "run_pattern_analysis_parallel",
-    "run_periodicity_parallel",
-    "run_ngram_parallel",
+    "run_periodicity",
     "run_stream",
 ]
 
@@ -103,6 +91,8 @@ class CharacterizationReport:
 
     @property
     def size_comparison(self) -> Optional[SizeComparison]:
+        from ..analysis.sizes import SizeComparison
+
         json_dist = self.sizes.get("application/json")
         html_dist = self.sizes.get("text/html")
         if not json_dist or not html_dist or not json_dist.count or not html_dist.count:
@@ -268,310 +258,54 @@ class PatternReport:
 
 
 def run_characterization(
-    logs: Iterable[RequestLog],
-    domain_categories: Optional[Mapping[str, str]] = None,
-) -> CharacterizationReport:
-    """Run every §4 analysis over a log collection."""
-    materialized = list(logs)
-    summary = DatasetSummary().update(materialized)
-    json_logs = [record for record in materialized if record.is_json]
-    traffic_source, request_type = characterize(json_logs, json_only=False)
-    cache_stats, heatmap = analyze_cacheability(
-        json_logs, domain_categories, json_only=False
-    )
-    sizes = analyze_sizes(materialized)
-    apps = aggregate_apps(json_logs, json_only=False)
-    return CharacterizationReport(
-        summary=summary,
-        traffic_source=traffic_source,
-        request_type=request_type,
-        cacheability=cache_stats,
-        heatmap=heatmap,
-        sizes=sizes,
-        apps=apps,
-    )
-
-
-def _characterize_shard(shard):
-    """Engine map function: fold one shard into a partial §4 state.
-
-    Top-level (not a closure) so the process backend can pickle it.
-    All engine map functions in this module follow that rule;
-    per-call parameters bind via :func:`functools.partial`, which
-    pickles as long as its arguments do.
-    """
-    from ..engine.state import CharacterizationState
-
-    return CharacterizationState().update(shard.iter_logs())
-
-
-def _plan_record_shards(logs, logs_dir, workers, num_shards, lenient=False):
-    """Shared record-stage planning for every parallel pipeline.
-
-    Exactly one of ``logs`` / ``logs_dir`` must be given: an
-    in-memory iterable shards by stable client hash (a client's
-    records never straddle shards), a partitioned directory shards
-    per edge × hour file (so the dataset never materializes).
-    ``lenient`` makes directory shards skip (and count) malformed log
-    lines instead of failing the shard.
-    """
-    from ..engine.shard import plan_directory_shards, plan_memory_shards
-
-    if (logs is None) == (logs_dir is None):
-        raise ValueError("provide exactly one of logs= or logs_dir=")
-    if num_shards is None:
-        num_shards = max(1, workers) * 4
-    if logs_dir is not None:
-        on_error = "skip" if lenient else "raise"
-        return plan_directory_shards(logs_dir, on_error=on_error), num_shards
-    return plan_memory_shards(list(logs), num_shards), num_shards
-
-
-def _stage_executor(
-    workers, backend, checkpoint, progress,
-    shard_timeout_s=None, retries=0, faults=None,
-):
-    """Shared executor construction so every pipeline stage exposes
-    the same hardening knobs (per-shard timeout, bounded retries,
-    fault plan)."""
-    from ..engine.executor import ShardExecutor
-
-    return ShardExecutor(
-        workers=workers,
-        backend=backend,
-        checkpoint=checkpoint,
-        progress=progress,
-        timeout_s=shard_timeout_s,
-        retries=retries,
-        faults=faults,
-    )
-
-
-def _stage_checkpoint(checkpoint_dir, stage: str):
-    """Per-stage checkpoint store, or None.
-
-    Stages get their own subdirectories because shard ids are the
-    only checkpoint key: a §4 ``mem-0001…`` partial must never be
-    mistaken for a §5.1 flow partial when pipelines share one
-    checkpoint directory.
-    """
-    from ..engine.checkpoint import CheckpointStore
-
-    if checkpoint_dir is None:
-        return None
-    return CheckpointStore(Path(checkpoint_dir) / stage)
-
-
-def _flow_collect_shard(shard, flow_filter=None):
-    """Engine map function: fold one shard into a §5.1 flow state."""
-    from ..engine.flowstate import FlowCollectionState
-
-    return FlowCollectionState(flow_filter).update(shard.iter_logs())
-
-
-def _detect_periods_shard(shard, detector_config=None, match_tolerance=0.10):
-    """Engine map function: detect periods for one object-flow shard."""
-    from ..engine.flowstate import PeriodicityDetectionState
-    from ..periodicity.detector import PeriodDetector
-    from ..periodicity.results import analyze_object_flow
-
-    detector = PeriodDetector(detector_config) if detector_config else PeriodDetector()
-    return PeriodicityDetectionState(
-        {
-            object_id: analyze_object_flow(
-                flow, detector=detector, match_tolerance=match_tolerance
-            )
-            for object_id, flow in shard.items
-        }
-    )
-
-
-def _ngram_sequences_shard(shard):
-    """Engine map function: buffer one shard's client token sequences."""
-    from ..engine.ngramstate import NgramSequenceState
-
-    return NgramSequenceState().update(shard.iter_logs())
-
-
-def _ngram_client_id(item):
-    """Sharding key for (client_id, sequence) items; top-level to pickle."""
-    return item[0]
-
-
-def _ngram_train_shard(shard, order=1):
-    """Engine map function: train a partial model on one client shard.
-
-    Items are ``(client_id, sequence)`` pairs sharded by client hash.
-    """
-    from ..ngram.model import BackoffNgramModel
-
-    return BackoffNgramModel(order=order).fit(
-        sequence for _, sequence in shard.items
-    )
-
-
-def _ngram_eval_shard(shard, model=None, ns=(1,), ks=(1, 5, 10)):
-    """Engine map function: score one test-client shard against a model."""
-    from ..engine.ngramstate import NgramEvalState
-    from ..ngram.evaluate import evaluate_topk
-
-    flows = [sequence for _, sequence in shard.items]
-    state = NgramEvalState()
-    for n in ns:
-        for result in evaluate_topk(model, flows, n, ks):
-            state.record(n, result.k, result.correct, result.total)
-    return state
-
-
-def run_characterization_parallel(
     logs: Optional[Iterable[RequestLog]] = None,
     domain_categories: Optional[Mapping[str, str]] = None,
     *,
     logs_dir: Optional[str] = None,
-    workers: int = 1,
-    backend: str = "auto",
-    num_shards: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    progress=None,
-    with_stats: bool = False,
-    shard_timeout_s: Optional[float] = None,
-    retries: int = 0,
-    faults=None,
-    lenient: bool = False,
-):
-    """§4 characterization through the sharded engine.
+    engine: EngineOptions = EngineOptions(),
+) -> CharacterizationReport:
+    """Every §4 analysis over exactly one input.
 
-    Exactly one input source must be given: ``logs`` (an in-memory
-    iterable, sharded by client hash) or ``logs_dir`` (a partitioned
-    log directory written by :func:`repro.logs.partition.write_partitioned`,
-    sharded per edge × hour file so the dataset never materializes).
-
-    The counter metrics of the returned report — traffic source,
-    request type, cacheability, summary counters — are identical to
-    :func:`run_characterization` on the same records, for any
-    ``workers``/``backend``/``num_shards``: the per-shard states
-    merge losslessly and always in plan order.
-
-    ``checkpoint_dir`` enables resume: completed shards persist there
-    and a re-run loads them instead of recomputing.  ``progress`` is
-    called with ``(ShardResult, done, total)`` per finished shard.
-    ``shard_timeout_s``/``retries`` bound hung or flaky shards (see
-    ``docs/robustness.md``); ``lenient`` skips malformed log lines
-    with a counter instead of failing the shard; ``faults`` installs
-    a :class:`~repro.faults.FaultPlan` for the run.
-    With ``with_stats=True`` returns ``(report, RunReport)`` — the
-    run report carries retry/quarantine counters.
+    ``logs`` is any iterable of records (sharded by client hash) and
+    ``logs_dir`` a partitioned log directory written by
+    :func:`repro.logs.partition.write_partitioned` (sharded per
+    edge × hour file, so the dataset never materializes).  The
+    record stage ``characterization`` folds
+    :class:`~repro.engine.state.CharacterizationState` per shard; the
+    report is the same for any ``engine`` options.
     """
-    from ..engine.state import CharacterizationState
-
-    shards, _ = _plan_record_shards(
-        logs, logs_dir, workers, num_shards, lenient=lenient
+    state = fold_records(
+        "characterization", ("characterization",), logs, logs_dir, engine
     )
-    executor = _stage_executor(
-        workers, backend,
-        _stage_checkpoint(checkpoint_dir, "characterization"), progress,
-        shard_timeout_s=shard_timeout_s, retries=retries, faults=faults,
-    )
-    with span("pipeline.characterization", shards=len(shards)):
-        state, run_report = executor.run(shards, _characterize_shard)
-    if state is None:
-        state = CharacterizationState()
-    report = state.to_report(domain_categories)
-    if with_stats:
-        return report, run_report
-    return report
+    return state.characterization.to_report(domain_categories)
 
 
-def run_periodicity_parallel(
+def run_periodicity(
     logs: Optional[Iterable[RequestLog]] = None,
     *,
     logs_dir: Optional[str] = None,
     flow_filter: Optional[FlowFilter] = None,
     detector_config: Optional[DetectorConfig] = None,
     match_tolerance: float = 0.10,
-    workers: int = 1,
-    backend: str = "auto",
-    num_shards: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    progress=None,
-    with_stats: bool = False,
-    shard_timeout_s: Optional[float] = None,
-    retries: int = 0,
-    faults=None,
-    lenient: bool = False,
-):
-    """§5.1 periodicity analysis through the sharded engine.
+    engine: EngineOptions = EngineOptions(),
+) -> PeriodicityReport:
+    """The §5.1 periodicity analysis over exactly one input.
 
-    Two engine stages:
-
-    1. **Flow collection** — record shards fold into mergeable
-       :class:`~repro.engine.flowstate.FlowCollectionState` (raw
-       per-(object, client) timestamp lists), merged by timestamp
-       union.  Correct under any shard split because the paper's
-       significance filters apply only after the merge.
-    2. **Detection** — the merged, filtered object flows shard by
-       ``stable_hash64(object_id)`` and each shard runs the same
-       per-object detection as the serial pass
-       (:func:`~repro.periodicity.results.analyze_object_flow`).
-
-    The returned report's flows, detected periods, consensus
-    verdicts, and every aggregate are identical to
-    :func:`~repro.periodicity.results.analyze_logs` over the same
-    records, for any ``workers``/``backend``/``num_shards``.
-    With ``with_stats=True`` returns ``(report, [RunReport, RunReport])``
-    (one per stage).
+    Record stage ``periodicity-flows`` (raw per-(object, client)
+    timestamps, merged by union; the paper's significance filters
+    apply only after the merge), then the ``periodicity-detect``
+    item stage (:func:`~repro.engine.tracks.detect_periods`).  Equal
+    to :func:`~repro.periodicity.results.analyze_logs` for any
+    ``engine`` options.
     """
-    from ..engine.flowstate import FlowCollectionState
-    from ..engine.shard import plan_item_shards
-    from ..periodicity.results import PeriodicityReport
-
-    shards, num_shards = _plan_record_shards(
-        logs, logs_dir, workers, num_shards, lenient=lenient
+    state = fold_records(
+        "periodicity-flows", ("periodicity",), logs, logs_dir, engine,
+        flow_filter,
     )
-    collect = _stage_executor(
-        workers, backend,
-        _stage_checkpoint(checkpoint_dir, "periodicity-flows"), progress,
-        shard_timeout_s=shard_timeout_s, retries=retries, faults=faults,
-    )
-    with span("pipeline.periodicity-flows", shards=len(shards)):
-        flow_state, collect_report = collect.run(
-            shards, partial(_flow_collect_shard, flow_filter=flow_filter)
-        )
-    if flow_state is None:
-        flow_state = FlowCollectionState(flow_filter)
-    flows = flow_state.finalize()
-
-    detect_shards = plan_item_shards(
-        sorted(flows.items()),
-        num_shards,
-        key=lambda item: item[0],
-        prefix="periodicity-detect",
-    )
-    detect = _stage_executor(
-        workers, backend,
-        _stage_checkpoint(checkpoint_dir, "periodicity-detect"), progress,
-        shard_timeout_s=shard_timeout_s, retries=retries, faults=faults,
-    )
-    with span("pipeline.periodicity-detect", shards=len(detect_shards)):
-        detect_state, detect_report = detect.run(
-            detect_shards,
-            partial(
-                _detect_periods_shard,
-                detector_config=detector_config,
-                match_tolerance=match_tolerance,
-            ),
-        )
-    objects = detect_state.objects if detect_state is not None else {}
-    report = PeriodicityReport(
-        objects={object_id: objects[object_id] for object_id in sorted(objects)},
-        total_json_requests=flow_state.total_json_requests,
-    )
-    if with_stats:
-        return report, [collect_report, detect_report]
-    return report
+    return detect_periods(state.flows, detector_config, match_tolerance, engine)
 
 
-def run_ngram_parallel(
+def run_ngram(
     logs: Optional[Iterable[RequestLog]] = None,
     *,
     logs_dir: Optional[str] = None,
@@ -580,118 +314,49 @@ def run_ngram_parallel(
     test_fraction: float = 0.25,
     seed: int = 0,
     model_order: Optional[int] = None,
-    workers: int = 1,
-    backend: str = "auto",
-    num_shards: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    progress=None,
-    with_stats: bool = False,
-    shard_timeout_s: Optional[float] = None,
-    retries: int = 0,
-    faults=None,
-    lenient: bool = False,
-):
-    """The Table 3 sweep through the sharded engine.
+    engine: EngineOptions = EngineOptions(),
+) -> Dict[Tuple[int, int, bool], AccuracyResult]:
+    """The Table 3 ngram sweep over exactly one input.
 
-    Three engine stages per URL variant (raw, clustered):
-
-    1. **Sequences** — record shards fold into mergeable
-       :class:`~repro.engine.ngramstate.NgramSequenceState`
-       per-client token buffers (both variants in one pass over the
-       records); buffers merge by concatenation and sort once.
-    2. **Training** — the training clients' sequences (hash-split
-       exactly like :func:`~repro.ngram.evaluate.split_clients`)
-       shard by client id; each shard trains a shard-local
-       :class:`~repro.ngram.model.BackoffNgramModel` and the models
-       merge count tables and vocabularies losslessly.
-    3. **Evaluation** — test sequences shard by client id; each
-       shard scores top-K hits against the merged model and the hit
-       counters sum.
-
-    Accuracies are identical to
-    :func:`~repro.ngram.evaluate.run_table3` for any
-    ``workers``/``backend``/``num_shards``: training counts and
-    evaluation tallies are order-independent sums, and the model
-    ranks equal-count successors by token, never by insertion order.
-    With ``with_stats=True`` returns ``(results, [RunReport, …])``.
+    Record stage ``ngram-sequences`` (per-client token buffers for
+    both URL variants in one pass), then the train and eval item
+    stages (:func:`~repro.engine.tracks.evaluate_ngram`).  Equal to
+    :func:`~repro.ngram.evaluate.run_table3` for any ``engine``
+    options.
     """
-    from ..engine.ngramstate import NgramSequenceState
-    from ..engine.shard import plan_item_shards
-    from ..ngram.evaluate import AccuracyResult, split_clients
-    from ..ngram.model import BackoffNgramModel
-
-    shards, num_shards = _plan_record_shards(
-        logs, logs_dir, workers, num_shards, lenient=lenient
+    state = fold_records("ngram-sequences", ("ngram",), logs, logs_dir, engine)
+    return evaluate_ngram(
+        state.ngrams, ns, ks, test_fraction, seed, model_order, engine
     )
-    sequence_stage = _stage_executor(
-        workers, backend,
-        _stage_checkpoint(checkpoint_dir, "ngram-sequences"), progress,
-        shard_timeout_s=shard_timeout_s, retries=retries, faults=faults,
+
+
+def run_pattern_analysis(
+    logs: Optional[Iterable[RequestLog]] = None,
+    *,
+    logs_dir: Optional[str] = None,
+    flow_filter: Optional[FlowFilter] = None,
+    detector_config: Optional[DetectorConfig] = None,
+    ngram_ns: Sequence[int] = (1,),
+    ngram_ks: Sequence[int] = (1, 5, 10),
+    engine: EngineOptions = EngineOptions(),
+) -> PatternReport:
+    """Every §5 analysis over exactly one input.
+
+    One record stage, ``patterns``, folds both §5 tracks, so each
+    partition file is read once; the periodicity and ngram item
+    stages then finalize it exactly as :func:`run_periodicity` and
+    :func:`run_ngram` do.
+    """
+    state = fold_records(
+        "patterns", ("periodicity", "ngram"), logs, logs_dir, engine,
+        flow_filter,
     )
-    with span("pipeline.ngram-sequences", shards=len(shards)):
-        sequence_state, sequence_report = sequence_stage.run(
-            shards, _ngram_sequences_shard
-        )
-    if sequence_state is None:
-        sequence_state = NgramSequenceState()
-
-    order = model_order if model_order is not None else max(ns)
-    results: Dict[Tuple[int, int, bool], AccuracyResult] = {}
-    stage_reports = [sequence_report]
-    for clustered in (False, True):
-        variant = "clustered" if clustered else "raw"
-        sequences = sequence_state.sequences(clustered)
-        train_ids, test_ids = split_clients(
-            sequences, test_fraction=test_fraction, seed=seed
-        )
-
-        train_shards = plan_item_shards(
-            [(client_id, sequences[client_id]) for client_id in sorted(train_ids)],
-            num_shards,
-            key=_ngram_client_id,
-            prefix=f"ngram-train-{variant}",
-        )
-        train = _stage_executor(
-            workers, backend,
-            _stage_checkpoint(checkpoint_dir, f"ngram-train-{variant}"),
-            progress,
-            shard_timeout_s=shard_timeout_s, retries=retries, faults=faults,
-        )
-        with span("pipeline.ngram-train", variant=variant):
-            model, train_report = train.run(
-                train_shards, partial(_ngram_train_shard, order=order)
-            )
-        if model is None:
-            model = BackoffNgramModel(order=order)
-
-        eval_shards = plan_item_shards(
-            [(client_id, sequences[client_id]) for client_id in sorted(test_ids)],
-            num_shards,
-            key=_ngram_client_id,
-            prefix=f"ngram-eval-{variant}",
-        )
-        evaluate = _stage_executor(
-            workers, backend,
-            _stage_checkpoint(checkpoint_dir, f"ngram-eval-{variant}"),
-            progress,
-            shard_timeout_s=shard_timeout_s, retries=retries, faults=faults,
-        )
-        with span("pipeline.ngram-eval", variant=variant):
-            eval_state, eval_report = evaluate.run(
-                eval_shards, partial(_ngram_eval_shard, model=model, ns=ns, ks=ks)
-            )
-        stage_reports.extend([train_report, eval_report])
-        for n in ns:
-            for k in sorted(ks):
-                cell = (n, k)
-                correct = eval_state.correct.get(cell, 0) if eval_state else 0
-                total = eval_state.total.get(cell, 0) if eval_state else 0
-                results[(n, k, clustered)] = AccuracyResult(
-                    n=n, k=k, clustered=clustered, correct=correct, total=total
-                )
-    if with_stats:
-        return results, stage_reports
-    return results
+    return PatternReport(
+        periodicity=detect_periods(
+            state.flows, detector_config, engine=engine
+        ),
+        ngram=evaluate_ngram(state.ngrams, ngram_ns, ngram_ks, engine=engine),
+    )
 
 
 def run_stream(
@@ -788,87 +453,3 @@ def run_stream(
     finally:
         if emitter is not None and not isinstance(emit, JsonlEmitter):
             emitter.close()
-
-
-def run_pattern_analysis(
-    logs: Iterable[RequestLog],
-    flow_filter: Optional[FlowFilter] = None,
-    detector_config: Optional[DetectorConfig] = None,
-    ngram_ns: Sequence[int] = (1,),
-    ngram_ks: Sequence[int] = (1, 5, 10),
-) -> PatternReport:
-    """Run every §5 analysis over a log collection."""
-    from ..ngram.evaluate import run_table3
-    from ..periodicity.results import analyze_logs
-
-    materialized = list(logs)
-    periodicity = analyze_logs(
-        materialized, flow_filter=flow_filter, detector_config=detector_config
-    )
-    ngram = run_table3(materialized, ns=ngram_ns, ks=ngram_ks)
-    return PatternReport(periodicity=periodicity, ngram=ngram)
-
-
-def run_pattern_analysis_parallel(
-    logs: Optional[Iterable[RequestLog]] = None,
-    *,
-    logs_dir: Optional[str] = None,
-    flow_filter: Optional[FlowFilter] = None,
-    detector_config: Optional[DetectorConfig] = None,
-    ngram_ns: Sequence[int] = (1,),
-    ngram_ks: Sequence[int] = (1, 5, 10),
-    workers: int = 1,
-    backend: str = "auto",
-    num_shards: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    progress=None,
-    shard_timeout_s: Optional[float] = None,
-    retries: int = 0,
-    faults=None,
-    lenient: bool = False,
-) -> PatternReport:
-    """Every §5 analysis through the sharded engine.
-
-    Composes :func:`run_periodicity_parallel` and
-    :func:`run_ngram_parallel` into the same :class:`PatternReport`
-    that :func:`run_pattern_analysis` builds serially — and with
-    identical contents, for any ``workers``/``backend``/shard split.
-    An in-memory ``logs`` iterable is materialized once and shared by
-    both pipelines; with ``logs_dir`` each pipeline streams the
-    partition files itself.
-    """
-    if (logs is None) == (logs_dir is None):
-        raise ValueError("provide exactly one of logs= or logs_dir=")
-    if logs is not None:
-        logs = list(logs)
-    periodicity = run_periodicity_parallel(
-        logs,
-        logs_dir=logs_dir,
-        flow_filter=flow_filter,
-        detector_config=detector_config,
-        workers=workers,
-        backend=backend,
-        num_shards=num_shards,
-        checkpoint_dir=checkpoint_dir,
-        progress=progress,
-        shard_timeout_s=shard_timeout_s,
-        retries=retries,
-        faults=faults,
-        lenient=lenient,
-    )
-    ngram = run_ngram_parallel(
-        logs,
-        logs_dir=logs_dir,
-        ns=ngram_ns,
-        ks=ngram_ks,
-        workers=workers,
-        backend=backend,
-        num_shards=num_shards,
-        checkpoint_dir=checkpoint_dir,
-        progress=progress,
-        shard_timeout_s=shard_timeout_s,
-        retries=retries,
-        faults=faults,
-        lenient=lenient,
-    )
-    return PatternReport(periodicity=periodicity, ngram=ngram)

@@ -8,9 +8,13 @@ takes percentiles, never imports numpy.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple, TypeVar
 
-__all__ = ["ecdf", "histogram", "percentile", "relative_error", "within"]
+__all__ = [
+    "ecdf", "histogram", "percentile", "ranked", "relative_error", "within",
+]
+
+K = TypeVar("K")
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -66,6 +70,16 @@ def histogram(
     for value in values:
         counts[int(value // bin_width)] = counts.get(int(value // bin_width), 0) + 1
     return sorted((index * bin_width, count) for index, count in counts.items())
+
+
+def ranked(counts: Mapping[K, int]) -> List[Tuple[K, int]]:
+    """``(key, count)`` pairs by descending count, ties by key.
+
+    The one ranking every report uses: a total order, so a ranking
+    never depends on insertion order, which differs between a serial
+    fold and merged shard states.
+    """
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
 def relative_error(measured: float, expected: float) -> float:

@@ -55,29 +55,22 @@ argument) to exercise all of the above deterministically.
 from __future__ import annotations
 
 import copy
-import multiprocessing
 import os
-import pickle
 import time
-import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..faults import FaultPlan, InjectedFault
 from ..faults import runtime as fault_runtime
 from ..obs import runtime as obs_runtime
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import span
-from .checkpoint import CheckpointError, CheckpointStore
 from .shard import Shard
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
+
+    from .checkpoint import CheckpointStore
 
 __all__ = [
     "ShardResult",
@@ -202,6 +195,14 @@ class RunReport:
         return sum(counts)
 
 
+def _format_exc() -> str:
+    """The current exception's traceback; ``traceback`` loads only
+    when a shard fails."""
+    import traceback
+
+    return traceback.format_exc()
+
+
 def _fire_map_faults(shard_id: str) -> None:
     """Consult the installed fault plan at the map-function boundary."""
     rule = fault_runtime.should_fire("map.hang", shard_id)
@@ -209,6 +210,8 @@ def _fire_map_faults(shard_id: str) -> None:
         time.sleep(rule.param)
     rule = fault_runtime.should_fire("map.worker_death", shard_id)
     if rule is not None:
+        import multiprocessing
+
         if multiprocessing.parent_process() is not None:
             # A real pool worker: die the way an OOM kill would, with
             # no exception propagation and no cleanup.
@@ -368,6 +371,9 @@ class ShardExecutor:
         # Reduce phase 0: satisfy shards from the checkpoint store.  A
         # checkpoint that fails validation (torn file, checksum
         # mismatch) is not an error — the shard recomputes.
+        if self.checkpoint is not None:
+            # Loaded with the store; a run without one never imports it.
+            from .checkpoint import CheckpointError
         for index, shard in enumerate(shards):
             if self.checkpoint is None or not self.checkpoint.has(shard.shard_id):
                 pending.append(index)
@@ -502,6 +508,8 @@ class ShardExecutor:
         callback itself never crosses the process boundary — it runs
         in the parent — so it may be a lambda.)
         """
+        import pickle
+
         try:
             pickle.dumps(map_fn)
         except Exception as exc:
@@ -535,7 +543,7 @@ class ShardExecutor:
                     error = None
                 except Exception:
                     state = None
-                    error = traceback.format_exc()
+                    error = _format_exc()
                 if error is None or attempt >= self.retries:
                     record_outcome(
                         index,
@@ -554,12 +562,26 @@ class ShardExecutor:
         pending: Sequence[int],
         record_outcome: Callable[[int, Any, float, Optional[str], int], None],
     ) -> None:
+        """Thread/process backends.
+
+        The pool modules import here, not at module load, so a serial
+        run never pays for ``multiprocessing``.
+        """
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            BrokenExecutor,
+            ProcessPoolExecutor,
+            ThreadPoolExecutor,
+            wait,
+        )
+
         pool_cls = (
             ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
         )
         pool = pool_cls(max_workers=self.workers)
         inflight: Dict[Future, _Inflight] = {}
         first_started: Dict[int, float] = {}
+        abandoned = False
 
         def submit(index: int, attempt: int) -> None:
             nonlocal pool
@@ -606,17 +628,21 @@ class ShardExecutor:
                         # Collateral of a worker death: the attempt
                         # never misbehaved, so retrying it is always
                         # sound.
-                        finish(info, None, traceback.format_exc(), True)
+                        finish(info, None, _format_exc(), True)
                     except Exception:
-                        finish(info, None, traceback.format_exc(), True)
+                        finish(info, None, _format_exc(), True)
                     else:
                         finish(info, state, None, False)
-                self._expire(inflight, finish, submit)
+                if self._expire(inflight, finish, submit):
+                    abandoned = True
         finally:
-            # Abandoned (timed-out) attempts may still be running;
-            # don't block the run on them.  Their results are ignored
-            # and checkpoints save parent-side, so they can't leak.
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Wait for the workers so the pool tears down before the
+            # run returns (an unwaited process pool can race
+            # interpreter exit).  Only abandoned (timed-out) attempts
+            # may still be running: don't block the run on them.
+            # Their results are ignored and checkpoints save
+            # parent-side, so they can't leak.
+            pool.shutdown(wait=not abandoned, cancel_futures=True)
 
     def _wait_timeout(self, inflight: Dict[Future, _Inflight]) -> Optional[float]:
         """Time until the next in-flight attempt hits its deadline."""
@@ -633,8 +659,9 @@ class ShardExecutor:
         inflight: Dict[Future, _Inflight],
         finish: Callable[[_Inflight, Any, Optional[str], bool], None],
         resubmit: Callable[[int, int], None],
-    ) -> None:
-        """Abandon attempts past the per-shard deadline and retry them.
+    ) -> bool:
+        """Abandon attempts past the per-shard deadline and retry them;
+        returns whether any running attempt was abandoned.
 
         The deadline clock starts at submission, but only *running*
         attempts are charged: an expired future that never left the
@@ -643,7 +670,8 @@ class ShardExecutor:
         not the shard's, and must not burn its retry budget.
         """
         if self.timeout_s is None:
-            return
+            return False
+        abandoned = False
         now = time.perf_counter()
         expired = [
             future
@@ -658,7 +686,7 @@ class ShardExecutor:
                 try:
                     state = future.result()
                 except Exception:
-                    finish(info, None, traceback.format_exc(), True)
+                    finish(info, None, _format_exc(), True)
                 else:
                     finish(info, state, None, False)
                 continue
@@ -667,6 +695,7 @@ class ShardExecutor:
                 resubmit(info.index, info.attempt)
                 continue
             obs_runtime.inc("engine.shard_timeouts")
+            abandoned = True
             finish(
                 info,
                 None,
@@ -674,6 +703,7 @@ class ShardExecutor:
                 f"(attempt {info.attempt + 1}); attempt abandoned",
                 True,
             )
+        return abandoned
 
 
 def run_shards(

@@ -2,22 +2,26 @@
 
 :class:`CharacterizationState` is what the map phase produces per
 shard and what the reduce phase folds together.  It composes the
-exact accumulators the serial pipeline uses (dataset summary,
+analysis layer's own accumulators (dataset summary,
 traffic-source/request-type breakdowns, cacheability, per-domain
 counts, size distributions, app usage), all of which merge
 losslessly because they are counters and lists.
 
 The invariant the engine tests enforce: for any split of a dataset
 into shards, ``merge``-ing the per-shard states and finalizing with
-:meth:`CharacterizationState.to_report` yields counter metrics
-identical to :func:`repro.core.pipeline.run_characterization` over
-the unsplit records.
+:meth:`CharacterizationState.to_report` yields a report identical to
+the analysis-layer functions (:func:`~repro.analysis.characterize`,
+:func:`~repro.analysis.analyze_cacheability`, …) over the unsplit
+records.  User agents classify through the process-wide
+:data:`~repro.useragent.classify.SHARED_CLASSIFIER` and
+:func:`~repro.useragent.appid.identify_app` memos, so a state carries
+no cache of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..analysis.cacheability import (
     CacheabilityHeatmap,
@@ -28,8 +32,8 @@ from ..analysis.characterize import RequestTypeBreakdown, TrafficSourceBreakdown
 from ..analysis.sizes import SizeDistribution
 from ..logs.record import RequestLog
 from ..logs.summary import DatasetSummary
-from ..useragent.appid import AppIdentity, AppUsageReport, identify_app
-from ..useragent.classify import UserAgentClassifier
+from ..useragent.appid import AppUsageReport, identify_app
+from ..useragent.classify import SHARED_CLASSIFIER
 
 __all__ = ["CharacterizationState"]
 
@@ -41,12 +45,10 @@ class CharacterizationState:
     """Mergeable partial state of the §4 characterization.
 
     One instance per shard: :meth:`ingest` folds records in exactly
-    the way :func:`repro.core.pipeline.run_characterization` does
-    serially, :meth:`merge` combines shard states losslessly (the
-    underlying accumulators are counters and sets), and
-    :meth:`to_report` finalizes a
-    :class:`~repro.core.pipeline.CharacterizationReport` equal to the
-    serial one.
+    the way the analysis-layer functions do, :meth:`merge` combines
+    shard states losslessly (the underlying accumulators are counters
+    and sets), and :meth:`to_report` finalizes a
+    :class:`~repro.core.pipeline.CharacterizationReport`.
     """
 
     summary: DatasetSummary = field(default_factory=DatasetSummary)
@@ -63,38 +65,19 @@ class CharacterizationState:
     )
     apps: AppUsageReport = field(default_factory=AppUsageReport)
 
-    def __post_init__(self) -> None:
-        self._classifier: Optional[UserAgentClassifier] = None
-        self._app_memo: Dict[str, AppIdentity] = {}
-
-    # Transient per-shard caches must not travel through pickle (the
-    # classifier memo can be large, and it rebuilds for free).
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_classifier", None)
-        state.pop("_app_memo", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._classifier = None
-        self._app_memo = {}
-
     @property
     def record_count(self) -> int:
         return self.summary.total_logs
 
     def ingest(self, record: RequestLog) -> None:
-        """Fold one record; mirrors the serial §4 pipeline exactly."""
+        """Fold one record; mirrors the analysis-layer functions exactly."""
         self.summary.add(record)
         content_type = record.content_type
         if content_type in self.sizes:
             self.sizes[content_type].add(record.response_bytes)
         if not record.is_json:
             return
-        if self._classifier is None:
-            self._classifier = UserAgentClassifier()
-        self.traffic_source.add(record, self._classifier)
+        self.traffic_source.add(record, SHARED_CLASSIFIER)
         self.request_type.add(record)
         self.cacheability.add(record)
         domain = self.domains.get(record.domain)
@@ -104,12 +87,7 @@ class CharacterizationState:
         domain.total_requests += 1
         if record.cacheable:
             domain.cacheable_requests += 1
-        ua_key = record.user_agent or ""
-        identity = self._app_memo.get(ua_key)
-        if identity is None:
-            identity = identify_app(record.user_agent)
-            self._app_memo[ua_key] = identity
-        self.apps.add(identity, record)
+        self.apps.add(identify_app(record.user_agent), record)
 
     def update(self, records: Iterable[RequestLog]) -> "CharacterizationState":
         for record in records:

@@ -39,10 +39,6 @@ __all__ = [
     "merge_files",
     "split_by_edge",
     "is_time_ordered",
-    "keep_fraction",
-    "sample_clients",
-    "sample_objects",
-    "sample_requests",
     "DatasetSummary",
     "summarize",
 ]
@@ -59,9 +55,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".io": (
         "LineStats", "read_jsonl", "read_logs", "read_tsv", "write_jsonl",
         "write_logs", "write_tsv",
-    ),
-    ".sampling": (
-        "keep_fraction", "sample_clients", "sample_objects", "sample_requests",
     ),
     ".record": (
         "CacheStatus", "HttpMethod", "RequestLog", "client_key", "object_key",

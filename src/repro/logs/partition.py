@@ -20,7 +20,7 @@ import datetime
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .io import PathLike, read_logs, write_logs
+from .io import PathLike, _detect_format, read_logs, write_logs
 from .merge import merge_sorted
 from .record import RequestLog
 
@@ -28,6 +28,7 @@ __all__ = [
     "bucket_name",
     "write_partitioned",
     "iter_partition_files",
+    "check_layout",
     "read_partitioned",
 ]
 
@@ -87,6 +88,31 @@ def iter_partition_files(
             raise FileNotFoundError(f"no such edge partition: {directory}")
         files.extend(sorted(directory.iterdir()))
     return files
+
+
+def check_layout(root: PathLike) -> None:
+    """Raise ``ValueError`` unless ``root`` holds the partition layout.
+
+    An empty directory, or the parent of a partition root (whose
+    "edges" hold directories rather than log files), is rejected with
+    a message naming ``root``.
+    """
+    files = iter_partition_files(root)
+    if not files:
+        raise ValueError(
+            f"{root} holds no partition files "
+            f"(expected <root>/<edge>/<bucket>.jsonl.gz)"
+        )
+    for path in files:
+        try:
+            is_log = path.is_file() and bool(_detect_format(path))
+        except ValueError:  # no .jsonl/.tsv suffix
+            is_log = False
+        if not is_log:
+            raise ValueError(
+                f"{root} is not a partitioned log directory: "
+                f"{path.relative_to(root)} is not a log file"
+            )
 
 
 def read_partitioned(

@@ -18,7 +18,7 @@ Typical use::
 
     registry = obs.MetricsRegistry()
     with obs.installed(registry):
-        run_characterization_parallel(records, workers=4)
+        run_characterization(records, engine=EngineOptions(workers=4))
     print(obs.to_prometheus_text(registry))
 
 See ``docs/observability.md`` for the metric catalog and the

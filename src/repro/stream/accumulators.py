@@ -1,15 +1,13 @@
-"""Per-window accumulators built from the engine's mergeable states.
+"""Per-window accumulators: the engine's record-stage state, per window.
 
-A window's state is not a new kind of aggregate: it is exactly one
-:class:`~repro.engine.state.CharacterizationState` (§4), one
-:class:`~repro.engine.flowstate.FlowCollectionState` (§5.1) and one
-:class:`~repro.engine.ngramstate.NgramSequenceState` (§5.2), the same
-units the sharded batch engine maps and merges.  That buys the stream
-the engine's already-tested exactness contract for free: merging the
-accumulators of *all* sealed tumbling windows of a replay yields the
-same states a single batch pass builds, so finalizing the merge
-reproduces the batch reports bit for bit
-(:func:`merged_characterization`, :func:`merged_pattern_report`).
+A window's state is not a new kind of aggregate: it is exactly the
+:class:`~repro.engine.tracks.TrackState` the batch engine folds per
+shard, plus the window bounds.  That buys the stream the engine's
+already-tested exactness contract for free: merging the accumulators
+of *all* sealed tumbling windows of a replay yields the state a
+single batch pass builds, and the finalizers below are the engine's
+own (at default options), so they reproduce the batch reports bit for
+bit (:func:`merged_characterization`, :func:`merged_pattern_report`).
 
 ``tracks`` lets a deployment drop analyses it does not need (for
 example ``("characterization",)`` for a pure traffic monitor) — each
@@ -18,15 +16,14 @@ omitted track removes its per-record fold cost and its window memory.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-from ..engine.flowstate import FlowCollectionState
-from ..engine.ngramstate import NgramSequenceState
-from ..engine.state import CharacterizationState
-from ..logs.record import RequestLog
-from ..periodicity.detector import DetectorConfig, PeriodDetector
-from ..periodicity.flows import FlowFilter
-from ..periodicity.results import PeriodicityReport, analyze_flows
+from ..engine.tracks import ALL_TRACKS, TrackState, detect_periods, evaluate_ngram
+
+if TYPE_CHECKING:
+    from ..periodicity.detector import DetectorConfig
+    from ..periodicity.flows import FlowFilter
+    from ..periodicity.results import PeriodicityReport
 
 __all__ = [
     "ALL_TRACKS",
@@ -38,73 +35,26 @@ __all__ = [
     "merged_pattern_report",
 ]
 
-ALL_TRACKS: Tuple[str, ...] = ("characterization", "periodicity", "ngram")
 
-
-class WindowAccumulator:
+class WindowAccumulator(TrackState):
     """All mergeable analysis state for one event-time window."""
 
     def __init__(
         self,
         window_start: float,
         window_end: float,
-        flow_filter: Optional[FlowFilter] = None,
+        flow_filter: Optional["FlowFilter"] = None,
         tracks: Sequence[str] = ALL_TRACKS,
     ) -> None:
-        unknown = set(tracks) - set(ALL_TRACKS)
-        if unknown:
-            raise ValueError(f"unknown analysis tracks: {sorted(unknown)}")
+        super().__init__(tracks, flow_filter)
         self.window_start = window_start
         self.window_end = window_end
-        self.tracks = tuple(tracks)
-        self.record_count = 0
-        self.characterization = (
-            CharacterizationState() if "characterization" in tracks else None
-        )
-        self.flows = (
-            FlowCollectionState(flow_filter) if "periodicity" in tracks else None
-        )
-        self.ngrams = NgramSequenceState() if "ngram" in tracks else None
-
-    @property
-    def bounds(self) -> Tuple[float, float]:
-        return (self.window_start, self.window_end)
-
-    def ingest(self, record: RequestLog) -> None:
-        self.record_count += 1
-        if self.characterization is not None:
-            self.characterization.ingest(record)
-        if self.flows is not None:
-            self.flows.ingest(record)
-        if self.ngrams is not None:
-            self.ngrams.ingest(record)
-
-    def update(self, records: Iterable[RequestLog]) -> "WindowAccumulator":
-        for record in records:
-            self.ingest(record)
-        return self
 
     def merge(self, other: "WindowAccumulator") -> "WindowAccumulator":
-        """Fold another window's states in; bounds become the union.
-
-        Exact for every underlying state (the engine merge contract),
-        so merging disjoint windows equals accumulating their records
-        in one state.
-        """
-        if other.tracks != self.tracks:
-            raise ValueError(
-                f"cannot merge accumulators with different tracks: "
-                f"{self.tracks} != {other.tracks}"
-            )
+        """Fold another window's states in; bounds become the union."""
+        super().merge(other)
         self.window_start = min(self.window_start, other.window_start)
         self.window_end = max(self.window_end, other.window_end)
-        self.record_count += other.record_count
-        if self.characterization is not None:
-            self.characterization.merge(other.characterization)
-        if self.flows is not None:
-            self.flows.merge(other.flows)
-        if self.ngrams is not None:
-            self.ngrams.merge(other.ngrams)
         return self
 
 
@@ -131,17 +81,17 @@ def merge_accumulators(
 
 # -- batch-equivalent finalizers ----------------------------------------
 #
-# These take a (merged) accumulator to the exact objects the batch
-# pipelines produce; the differential suite replays a static log
-# through the stream, merges every sealed window, and asserts equality
-# against `run_characterization` / `run_pattern_analysis`.
+# The engine's own track finalizers at default options; the
+# differential suite replays a static log through the stream, merges
+# every sealed window, and asserts equality against the batch
+# references.
 
 
 def merged_characterization(
     accumulator: WindowAccumulator,
     domain_categories: Optional[Mapping[str, str]] = None,
 ):
-    """§4 report from a merged accumulator (== batch serial)."""
+    """§4 report from a merged accumulator (== batch)."""
     if accumulator.characterization is None:
         raise ValueError("accumulator does not track characterization")
     return accumulator.characterization.to_report(domain_categories)
@@ -149,19 +99,13 @@ def merged_characterization(
 
 def merged_periodicity(
     accumulator: WindowAccumulator,
-    detector_config: Optional[DetectorConfig] = None,
+    detector_config: Optional["DetectorConfig"] = None,
     match_tolerance: float = 0.10,
-) -> PeriodicityReport:
-    """§5.1 report from a merged accumulator (== batch serial)."""
+) -> "PeriodicityReport":
+    """§5.1 report from a merged accumulator (== batch)."""
     if accumulator.flows is None:
         raise ValueError("accumulator does not track periodicity")
-    detector = PeriodDetector(detector_config) if detector_config else None
-    return analyze_flows(
-        accumulator.flows.finalize(),
-        accumulator.flows.total_json_requests,
-        detector=detector,
-        match_tolerance=match_tolerance,
-    )
+    return detect_periods(accumulator.flows, detector_config, match_tolerance)
 
 
 def merged_ngram(
@@ -172,42 +116,22 @@ def merged_ngram(
     seed: int = 0,
     model_order: Optional[int] = None,
 ):
-    """Table 3 sweep from a merged accumulator (== batch serial).
-
-    Identical to :func:`repro.ngram.evaluate.run_table3` because the
-    state's finalized sequences equal ``build_client_sequences`` over
-    the unsplit stream, the hash split is order-independent, and model
-    counts/evaluation tallies are sums.
-    """
-    from ..ngram.evaluate import AccuracyResult, evaluate_topk, split_clients
-    from ..ngram.model import BackoffNgramModel
-
+    """Table 3 sweep from a merged accumulator (== batch)."""
     if accumulator.ngrams is None:
         raise ValueError("accumulator does not track ngram sequences")
-    order = model_order if model_order is not None else max(ns)
-    results: Dict[Tuple[int, int, bool], AccuracyResult] = {}
-    for clustered in (False, True):
-        sequences = accumulator.ngrams.sequences(clustered)
-        train_ids, test_ids = split_clients(
-            sequences, test_fraction=test_fraction, seed=seed
-        )
-        model = BackoffNgramModel(order=order)
-        model.fit(sequences[client_id] for client_id in train_ids)
-        test_flows = [sequences[client_id] for client_id in test_ids]
-        for n in ns:
-            for result in evaluate_topk(model, test_flows, n, ks, clustered):
-                results[(n, result.k, clustered)] = result
-    return results
+    return evaluate_ngram(
+        accumulator.ngrams, ns, ks, test_fraction, seed, model_order
+    )
 
 
 def merged_pattern_report(
     accumulator: WindowAccumulator,
-    detector_config: Optional[DetectorConfig] = None,
+    detector_config: Optional["DetectorConfig"] = None,
     match_tolerance: float = 0.10,
     ngram_ns: Sequence[int] = (1,),
     ngram_ks: Sequence[int] = (1, 5, 10),
 ):
-    """§5 PatternReport from a merged accumulator (== batch serial)."""
+    """§5 PatternReport from a merged accumulator (== batch)."""
     from ..core.pipeline import PatternReport
 
     return PatternReport(

@@ -29,10 +29,6 @@ __all__ = [
     "Region",
     "DEFAULT_REGIONS",
     "assign_regions",
-    "iot_fleet",
-    "flash_crowd",
-    "scanner_probe",
-    "fleet_with_rogue",
     "substream",
     "weighted_choice",
     "zipf_weights",
@@ -69,9 +65,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".periodic": ("CANONICAL_PERIODS", "PeriodicAgent", "PeriodicObjectSpec"),
     ".regions": ("DEFAULT_REGIONS", "Region", "assign_regions"),
     ".rng": ("substream", "weighted_choice", "zipf_weights"),
-    ".scenarios": (
-        "fleet_with_rogue", "flash_crowd", "iot_fleet", "scanner_probe",
-    ),
     ".sessions": ("RequestEvent", "SessionConfig", "SessionGenerator"),
     ".sizes": ("KIND_SIGMA", "SizeModel", "json_size_scale"),
     ".trend": ("MonthlyVolume", "TrendModel"),

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..core.stats import ranked
 from ..logs.record import RequestLog
 from .database import SDK_TOKENS
 from .parser import ProductToken, parse_user_agent
@@ -100,8 +102,13 @@ def _normalize_name(name: str) -> str:
     return name
 
 
+@lru_cache(maxsize=65_536)
 def identify_app(user_agent: Optional[str]) -> AppIdentity:
     """Extract the application identity from a user-agent value.
+
+    Memoized process-wide (bounded): the identity is a pure function
+    of the string, and real traffic repeats few distinct UAs, so every
+    §4 fold — serial, engine shard or stream window — shares one memo.
 
     Examples
     --------
@@ -174,10 +181,11 @@ class AppUsageReport:
         return 1.0 - unknown / self.total_requests
 
     def top_apps(self, count: int = 10) -> List[Tuple[str, int]]:
-        """Most-requesting applications (unidentified bucket excluded)."""
+        """Most-requesting applications (unidentified bucket excluded),
+        ties broken by name."""
         return [
             (name, requests)
-            for name, requests in self.requests_per_app.most_common()
+            for name, requests in ranked(self.requests_per_app)
             if name != AppIdentity.UNKNOWN_NAME
         ][:count]
 
@@ -191,18 +199,12 @@ def aggregate_apps(
 ) -> AppUsageReport:
     """One-pass per-application traffic aggregation.
 
-    A memo on the UA string makes this linear in distinct UAs rather
-    than in records.
+    :func:`identify_app`'s memo makes this linear in distinct UAs
+    rather than in records.
     """
     report = AppUsageReport()
-    memo: Dict[str, AppIdentity] = {}
     for record in logs:
         if json_only and not record.is_json:
             continue
-        key = record.user_agent or ""
-        identity = memo.get(key)
-        if identity is None:
-            identity = identify_app(record.user_agent)
-            memo[key] = identity
-        report.add(identity, record)
+        report.add(identify_app(record.user_agent), record)
     return report

@@ -106,9 +106,13 @@ class UserAgentClassifier:
         return AppClass.UNKNOWN
 
 
-_DEFAULT_CLASSIFIER = UserAgentClassifier()
+#: The process-wide classifier: every §4 fold (serial, engine shard,
+#: stream window) classifies through it, so each distinct UA string
+#: is classified once per process.  Results are pure functions of the
+#: string, so they never depend on what the memo evicted.
+SHARED_CLASSIFIER = UserAgentClassifier()
 
 
 def classify_user_agent(user_agent: Optional[str]) -> TrafficSource:
-    """Module-level convenience wrapper over a shared classifier."""
-    return _DEFAULT_CLASSIFIER.classify(user_agent)
+    """Classify through :data:`SHARED_CLASSIFIER`."""
+    return SHARED_CLASSIFIER.classify(user_agent)

@@ -36,11 +36,11 @@ import pytest
 
 from repro.core.pipeline import (
     run_characterization,
-    run_characterization_parallel,
-    run_ngram_parallel,
-    run_periodicity_parallel,
+    run_ngram,
+    run_periodicity,
     run_stream,
 )
+from repro.engine import EngineOptions
 from repro.faults import FaultPlan, FaultRule
 from repro.logs.partition import write_partitioned
 from repro.ngram.evaluate import run_table3
@@ -51,6 +51,7 @@ from repro.stream.accumulators import merged_characterization
 from repro.stream.service import StreamConfig
 from repro.stream import merge_accumulators
 from repro.synth.workload import WorkloadBuilder, long_term_config
+from tests.reference import characterization_reference, counted
 from tests.test_engine_differential import assert_periodicity_identical
 
 DETECTOR = DetectorConfig(permutations=10)
@@ -100,7 +101,7 @@ def logs():
 
 @pytest.fixture(scope="module")
 def baseline_characterization(logs):
-    return run_characterization(logs)
+    return characterization_reference(logs)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +136,12 @@ def compute_fault_plan(seed):
 HARDENING = dict(shard_timeout_s=2.0, retries=4)
 
 
+def hardened(backend, workers, plan):
+    return EngineOptions(
+        workers=workers, backend=backend, faults=plan, **HARDENING
+    )
+
+
 def assert_characterization_identical(baseline, report):
     assert report.summary == baseline.summary
     assert report.traffic_source == baseline.traffic_source
@@ -153,20 +160,16 @@ class TestComputeFaultChaos:
         self, logs, baseline_characterization, seed, backend, workers
     ):
         plan = compute_fault_plan(seed)
-        report, stats = run_characterization_parallel(
+        report, stats = counted(
+            run_characterization,
             logs,
-            workers=workers,
-            backend=backend,
-            faults=plan,
-            with_stats=True,
-            **HARDENING,
+            engine=hardened(backend, workers, plan),
         )
         assert_characterization_identical(baseline_characterization, report)
-        assert not stats.failed
-        assert stats.retries > 0, "plan never exercised the retry path"
-        _record(
-            "characterization", seed, backend, plan, stats.retries
-        )
+        assert not stats["engine.shards_failed"]
+        retries = stats["engine.shard_retries"]
+        assert retries > 0, "plan never exercised the retry path"
+        _record("characterization", seed, backend, plan, retries)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("backend,workers", BACKENDS)
@@ -174,17 +177,14 @@ class TestComputeFaultChaos:
         self, logs, baseline_periodicity, seed, backend, workers
     ):
         plan = compute_fault_plan(seed)
-        report, stage_stats = run_periodicity_parallel(
+        report, stats = counted(
+            run_periodicity,
             logs,
             detector_config=DETECTOR,
-            workers=workers,
-            backend=backend,
-            faults=plan,
-            with_stats=True,
-            **HARDENING,
+            engine=hardened(backend, workers, plan),
         )
         assert_periodicity_identical(baseline_periodicity, report)
-        retries = sum(stats.retries for stats in stage_stats)
+        retries = stats["engine.shard_retries"]  # summed over both stages
         assert retries > 0, "plan never exercised the retry path"
         _record("periodicity", seed, backend, plan, retries)
 
@@ -192,16 +192,11 @@ class TestComputeFaultChaos:
     @pytest.mark.parametrize("backend,workers", BACKENDS)
     def test_ngram(self, logs, baseline_ngram, seed, backend, workers):
         plan = compute_fault_plan(seed)
-        results, stage_stats = run_ngram_parallel(
-            logs,
-            workers=workers,
-            backend=backend,
-            faults=plan,
-            with_stats=True,
-            **HARDENING,
+        results, stats = counted(
+            run_ngram, logs, engine=hardened(backend, workers, plan)
         )
         assert results == baseline_ngram
-        retries = sum(stats.retries for stats in stage_stats)
+        retries = stats["engine.shard_retries"]  # summed over all stages
         assert retries > 0, "plan never exercised the retry path"
         _record("ngram", seed, backend, plan, retries)
 
@@ -215,30 +210,33 @@ class TestTornCheckpointChaos:
     ):
         plan = FaultPlan(seed, [FaultRule("checkpoint.torn", rate=0.5)])
         ckpt = str(tmp_path / "ckpt")
+        resumable = EngineOptions(checkpoint_dir=ckpt)
         # Run 1 writes some torn checkpoints; its own (in-memory)
         # result must already be correct — the tear is write-side.
-        first, stats1 = run_characterization_parallel(
-            logs, checkpoint_dir=ckpt, faults=plan, with_stats=True
+        first = run_characterization(
+            logs, engine=EngineOptions(checkpoint_dir=ckpt, faults=plan)
         )
         assert_characterization_identical(baseline_characterization, first)
         torn = plan.fired().get("checkpoint.torn", 0)
         assert torn > 0, "plan never tore a checkpoint"
         # Run 2 (fault-free) must detect every torn file, recompute
         # those shards, and still match the baseline exactly.
-        second, stats2 = run_characterization_parallel(
-            logs, checkpoint_dir=ckpt, with_stats=True
-        )
+        second, stats2 = counted(run_characterization, logs, engine=resumable)
         assert_characterization_identical(baseline_characterization, second)
-        assert stats2.recomputed_checkpoints == torn
-        assert stats2.skipped == stats2.total_shards - torn
-        # Run 3: the recompute re-saved healthy files.
-        _, stats3 = run_characterization_parallel(
-            logs, checkpoint_dir=ckpt, with_stats=True
+        assert stats2["engine.recomputed_checkpoints"] == torn
+        assert (
+            stats2["engine.shards_from_checkpoint"]
+            == stats2["engine.shards_planned"] - torn
         )
-        assert stats3.skipped == stats3.total_shards
+        # Run 3: the recompute re-saved healthy files.
+        _, stats3 = counted(run_characterization, logs, engine=resumable)
+        assert (
+            stats3["engine.shards_from_checkpoint"]
+            == stats3["engine.shards_planned"]
+        )
         _record(
             "batch-torn-checkpoint", seed, "process", plan,
-            stats2.recomputed_checkpoints,
+            stats2["engine.recomputed_checkpoints"],
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -316,21 +314,22 @@ class TestTruncatedGzipChaos:
     def test_characterization(
         self, partition_root, seed, backend, workers
     ):
-        baseline = run_characterization_parallel(
-            logs_dir=str(partition_root), workers=workers, backend=backend
+        baseline = run_characterization(
+            logs_dir=str(partition_root),
+            engine=EngineOptions(workers=workers, backend=backend),
         )
         plan = FaultPlan(
             seed, [FaultRule("io.truncated_gzip", rate=0.5, times=1, param=3)]
         )
-        report, stats = run_characterization_parallel(
+        report, stats = counted(
+            run_characterization,
             logs_dir=str(partition_root),
-            workers=workers,
-            backend=backend,
-            faults=plan,
-            retries=1,
-            with_stats=True,
+            engine=EngineOptions(
+                workers=workers, backend=backend, faults=plan, retries=1
+            ),
         )
         assert_characterization_identical(baseline, report)
-        assert not stats.failed
-        assert stats.retries > 0, "plan never truncated a partition file"
-        _record("truncated-gzip", seed, backend, plan, stats.retries)
+        assert not stats["engine.shards_failed"]
+        retries = stats["engine.shard_retries"]
+        assert retries > 0, "plan never truncated a partition file"
+        _record("truncated-gzip", seed, backend, plan, retries)

@@ -29,7 +29,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "command", ["characterize", "patterns", "periodicity", "ngram",
-                    "paper", "replay"]
+                    "paper"]
     )
     def test_engine_args_on_analysis_commands(self, command):
         args = build_parser().parse_args(
@@ -37,6 +37,28 @@ class TestParser:
         )
         assert args.workers == 3
         assert args.logs_dir == "parts/"
+
+    def test_replay_takes_input_and_telemetry_flags(self):
+        args = build_parser().parse_args(
+            ["replay", "--logs-dir", "parts/", "--lenient",
+             "--metrics", "m.json", "--trace", "t.jsonl"]
+        )
+        assert args.logs_dir == "parts/"
+        assert args.lenient is True
+        assert (args.metrics, args.trace) == ("m.json", "t.jsonl")
+
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "7"], ["--retries", "3"],
+                 ["--shard-timeout", "5"]],
+    )
+    def test_replay_rejects_engine_flags(self, capsys, flag):
+        # replay runs no engine stage, so these flags would be ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", "--requests", "200", *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize(
         "command", ["characterize", "patterns", "periodicity", "ngram"]
@@ -98,6 +120,36 @@ class TestParser:
         assert err.splitlines()[-1].startswith(
             f"repro-json-cdn: error: {flag}: {expected}"
         )
+
+    @pytest.fixture
+    def partition_parent(self, tmp_path):
+        """A directory whose ``logs/`` child is a partition root."""
+        from repro.logs.partition import write_partitioned
+        from tests.conftest import make_log
+
+        write_partitioned([make_log()], tmp_path / "data" / "logs")
+        return tmp_path / "data"
+
+    @pytest.mark.parametrize("command", ["characterize", "patterns", "stream"])
+    @pytest.mark.parametrize("layout", ["empty", "parent"])
+    def test_logs_dir_without_partition_layout_is_a_usage_error(
+        self, tmp_path, capsys, partition_parent, command, layout
+    ):
+        if layout == "empty":
+            root = tmp_path / "empty"
+            root.mkdir()
+            expected = "holds no partition files"
+        else:
+            root = partition_parent
+            expected = "is not a partitioned log directory: logs/edge-1"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--logs-dir", str(root)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith(f"repro-json-cdn: error: --logs-dir: {root} ")
+        assert expected in last
 
     @pytest.mark.parametrize(
         "sources",
@@ -260,6 +312,36 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "Table 2" in out
+
+    def test_patterns_reads_each_partition_file_once(self, tmp_path, capsys):
+        # One record stage folds both §5 tracks, so each file shard is
+        # mapped (read and parsed) exactly once, on the process pool.
+        import json
+        from collections import Counter
+
+        from repro.logs.partition import write_partitioned
+        from repro.synth.workload import WorkloadBuilder, long_term_config
+
+        dataset = WorkloadBuilder(long_term_config(1500, seed=2)).build()
+        root = tmp_path / "parts"
+        write_partitioned(dataset.logs, root)
+        trace = tmp_path / "trace.jsonl"
+        assert main(
+            ["patterns", "--logs-dir", str(root), "--workers", "2",
+             "--permutations", "5", "--trace", str(trace)]
+        ) == 0
+        assert "Table 3" in capsys.readouterr().out
+        mapped = Counter(
+            span["tags"]["shard"]
+            for span in map(json.loads, trace.read_text().splitlines())
+            if span["name"] == "engine.map_shard"
+        )
+        files = sorted(
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*") if path.is_file()
+        )
+        assert files
+        assert {name: mapped[name] for name in files} == dict.fromkeys(files, 1)
 
     def test_periodicity_command_small(self, capsys):
         assert main(

@@ -1,10 +1,11 @@
-"""Differential serial-vs-parallel harness for every engine pipeline.
+"""Differential harness: every engine pipeline against its reference.
 
 The engine's headline guarantee is *exactness*: for any worker count,
-backend, or shard split, the parallel pipelines produce results
-identical — not approximately equal — to the serial reference
-implementations.  These tests run both paths over one seeded
-synthetic workload and compare outputs field by field.
+backend, or shard split, every analysis entry point produces results
+identical — not approximately equal — to the analysis-layer
+references (:mod:`tests.reference`).  These tests run both over one
+seeded synthetic workload and compare outputs field by field, and
+the rendered §4 report byte for byte.
 
 The workload is the long-term shape (24 h, narrow client set): it is
 the one with enough per-flow history for the periodicity detector
@@ -19,18 +20,19 @@ import pytest
 
 from repro.core.pipeline import (
     run_characterization,
-    run_characterization_parallel,
-    run_ngram_parallel,
+    run_ngram,
     run_pattern_analysis,
-    run_pattern_analysis_parallel,
-    run_periodicity_parallel,
+    run_periodicity,
 )
+from repro.engine import EngineOptions
 from repro.engine.flowstate import FlowCollectionState
 from repro.ngram.evaluate import run_table3
 from repro.periodicity.detector import DetectorConfig
 from repro.periodicity.flows import extract_flows
 from repro.periodicity.results import analyze_logs
 from repro.synth.workload import WorkloadBuilder, long_term_config
+from tests.conftest import make_log
+from tests.reference import characterization_reference, patterns_reference
 
 #: Permutations are the detector's dominant cost; 10 keeps the suite
 #: fast while remaining well above the workload's noise floor (the
@@ -46,6 +48,9 @@ GRID = [
     pytest.param(4, "process", id="w4-process"),
 ]
 
+#: GRID plus the serial backend: every way a run can be executed.
+EVERY_BACKEND = [pytest.param(1, "serial", id="w1-serial"), *GRID]
+
 
 @pytest.fixture(scope="module")
 def logs():
@@ -54,7 +59,29 @@ def logs():
 
 @pytest.fixture(scope="module")
 def serial_characterization(logs):
-    return run_characterization(logs)
+    return characterization_reference(logs)
+
+
+def _app_log(app: str, second: int):
+    return make_log(
+        timestamp=1_559_347_200.0 + second,
+        client_ip_hash="0000000000000001",
+        user_agent=f"{app}/1.0 (iPhone; iOS 13.1; Scale/3.00) CFNetwork/1107.1",
+    )
+
+
+@pytest.fixture(scope="module")
+def tied_logs():
+    """Two apps tied at 5 requests, ``Zulu`` seen first.
+
+    A serial fold meets ``Zulu`` first; a sharded one merges
+    ``Alpha``'s shard first (its client hashes to shard 0 of 4, 4 of 8
+    and 4 of 16, ``Zulu``'s to 2, 6 and 6).  Only a total order on
+    (−count, name) ranks them the same both ways.
+    """
+    return [_app_log("Zulu", second) for second in range(5)] + [
+        _app_log("Alpha", second) for second in range(5, 10)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -84,21 +111,34 @@ def assert_periodicity_identical(serial, parallel):
 class TestCharacterizationDifferential:
     @pytest.mark.parametrize("workers,backend", GRID)
     def test_matches_serial(self, logs, serial_characterization, workers, backend):
-        parallel = run_characterization_parallel(
-            logs, workers=workers, backend=backend
+        parallel = run_characterization(
+            logs, engine=EngineOptions(workers=workers, backend=backend)
         )
         serial = serial_characterization
         assert parallel.traffic_source == serial.traffic_source
         assert parallel.request_type == serial.request_type
         assert parallel.cacheability == serial.cacheability
         assert parallel.summary == serial.summary
+        assert parallel.apps == serial.apps
+        assert parallel.render() == serial.render()
+
+    @pytest.mark.parametrize("workers,backend", EVERY_BACKEND)
+    def test_tied_apps_render_identically(self, tied_logs, workers, backend):
+        expected = characterization_reference(tied_logs)
+        assert expected.apps.top_apps() == [("Alpha", 5), ("Zulu", 5)]
+        report = run_characterization(
+            tied_logs, engine=EngineOptions(workers=workers, backend=backend)
+        )
+        assert report.render() == expected.render()
 
 
 class TestPeriodicityDifferential:
     @pytest.mark.parametrize("workers,backend", GRID)
     def test_matches_serial(self, logs, serial_periodicity, workers, backend):
-        parallel = run_periodicity_parallel(
-            logs, detector_config=DETECTOR, workers=workers, backend=backend
+        parallel = run_periodicity(
+            logs,
+            detector_config=DETECTOR,
+            engine=EngineOptions(workers=workers, backend=backend),
         )
         assert_periodicity_identical(serial_periodicity, parallel)
 
@@ -108,12 +148,12 @@ class TestPeriodicityDifferential:
 
     def test_shard_count_does_not_matter(self, logs, serial_periodicity):
         for num_shards in (3, 13):
-            parallel = run_periodicity_parallel(
+            parallel = run_periodicity(
                 logs,
                 detector_config=DETECTOR,
-                workers=2,
-                backend="thread",
-                num_shards=num_shards,
+                engine=EngineOptions(
+                    workers=2, backend="thread", num_shards=num_shards
+                ),
             )
             assert_periodicity_identical(serial_periodicity, parallel)
 
@@ -140,7 +180,9 @@ class TestPeriodicityDifferential:
 class TestNgramDifferential:
     @pytest.mark.parametrize("workers,backend", GRID)
     def test_matches_serial(self, logs, serial_ngram, workers, backend):
-        parallel = run_ngram_parallel(logs, workers=workers, backend=backend)
+        parallel = run_ngram(
+            logs, engine=EngineOptions(workers=workers, backend=backend)
+        )
         # AccuracyResult is a frozen dataclass: this compares correct
         # and total hit counts per (n, k, clustered) cell, not just
         # the derived accuracies.
@@ -152,17 +194,22 @@ class TestNgramDifferential:
 
     def test_shard_count_does_not_matter(self, logs, serial_ngram):
         for num_shards in (2, 9):
-            parallel = run_ngram_parallel(
-                logs, workers=2, backend="thread", num_shards=num_shards
+            parallel = run_ngram(
+                logs,
+                engine=EngineOptions(
+                    workers=2, backend="thread", num_shards=num_shards
+                ),
             )
             assert parallel == serial_ngram
 
 
 class TestPatternDifferential:
     def test_report_renders_identically(self, logs):
-        serial = run_pattern_analysis(logs, detector_config=DETECTOR)
-        parallel = run_pattern_analysis_parallel(
-            logs, detector_config=DETECTOR, workers=2, backend="process"
+        serial = patterns_reference(logs, detector_config=DETECTOR)
+        parallel = run_pattern_analysis(
+            logs,
+            detector_config=DETECTOR,
+            engine=EngineOptions(workers=2, backend="process"),
         )
         assert parallel.render() == serial.render()
         assert parallel.ngram == serial.ngram

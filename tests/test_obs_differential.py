@@ -22,11 +22,12 @@ import pytest
 
 from repro import obs
 from repro.core.pipeline import (
-    run_characterization_parallel,
-    run_ngram_parallel,
-    run_periodicity_parallel,
+    run_characterization,
+    run_ngram,
+    run_periodicity,
     run_stream,
 )
+from repro.engine import EngineOptions
 from repro.obs import runtime
 from repro.obs.registry import MetricsRegistry
 from repro.periodicity.detector import DetectorConfig
@@ -65,38 +66,38 @@ class TestEngineBackendInvariance:
 
     def test_characterization_metrics_backend_invariant(self, records):
         def run(records, *, workers, backend):
-            run_characterization_parallel(
-                records, workers=workers, backend=backend,
-                num_shards=NUM_SHARDS,
-            )
+            run_characterization(records, engine=EngineOptions(
+                workers=workers, backend=backend, num_shards=NUM_SHARDS,
+            ))
 
         self._assert_backend_invariant(run, records)
 
     def test_periodicity_metrics_backend_invariant(self, records):
         def run(records, *, workers, backend):
-            run_periodicity_parallel(
-                records, workers=workers, backend=backend,
-                num_shards=NUM_SHARDS,
+            run_periodicity(
+                records,
                 detector_config=DetectorConfig(permutations=5),
+                engine=EngineOptions(
+                    workers=workers, backend=backend, num_shards=NUM_SHARDS,
+                ),
             )
 
         self._assert_backend_invariant(run, records)
 
     def test_ngram_metrics_backend_invariant(self, records):
         def run(records, *, workers, backend):
-            run_ngram_parallel(
-                records, workers=workers, backend=backend,
-                num_shards=NUM_SHARDS,
-            )
+            run_ngram(records, engine=EngineOptions(
+                workers=workers, backend=backend, num_shards=NUM_SHARDS,
+            ))
 
         self._assert_backend_invariant(run, records)
 
     def test_expected_engine_counters_present(self, records):
         registry = MetricsRegistry()
         with obs.installed(registry):
-            run_characterization_parallel(
-                records, workers=2, backend="thread", num_shards=NUM_SHARDS
-            )
+            run_characterization(records, engine=EngineOptions(
+                workers=2, backend="thread", num_shards=NUM_SHARDS
+            ))
         counters = registry.snapshot()["counters"]
         assert counters["engine.runs"] == 1
         assert counters["engine.shards_planned"] == NUM_SHARDS
@@ -111,25 +112,22 @@ class TestEngineBackendInvariance:
     def test_no_registry_installed_records_nothing(self, records):
         # The ambient-install contract: without a registry the run is
         # untouched and leaves no telemetry anywhere.
-        run_characterization_parallel(
-            records, workers=2, backend="thread", num_shards=NUM_SHARDS
-        )
+        run_characterization(records, engine=EngineOptions(
+            workers=2, backend="thread", num_shards=NUM_SHARDS
+        ))
         assert runtime.active() is None
 
     def test_checkpoint_resume_shifts_counters(self, records, tmp_path):
-        ckpt = str(tmp_path / "ckpt")
+        resumable = EngineOptions(
+            workers=2, backend="thread", num_shards=NUM_SHARDS,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
         first = MetricsRegistry()
         with obs.installed(first):
-            run_characterization_parallel(
-                records, workers=2, backend="thread",
-                num_shards=NUM_SHARDS, checkpoint_dir=ckpt,
-            )
+            run_characterization(records, engine=resumable)
         second = MetricsRegistry()
         with obs.installed(second):
-            run_characterization_parallel(
-                records, workers=2, backend="thread",
-                num_shards=NUM_SHARDS, checkpoint_dir=ckpt,
-            )
+            run_characterization(records, engine=resumable)
         c1 = first.snapshot()["counters"]
         c2 = second.snapshot()["counters"]
         assert c1["engine.shards_completed"] == NUM_SHARDS

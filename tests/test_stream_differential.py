@@ -22,16 +22,13 @@ import random
 
 import pytest
 
-from repro.core.pipeline import (
-    run_characterization,
-    run_pattern_analysis,
-    run_stream,
-)
+from repro.core.pipeline import run_stream
 from repro.logs.partition import write_partitioned
 from repro.periodicity.detector import DetectorConfig
 from repro.stream import merge_accumulators, merged_pattern_report
 from repro.stream.accumulators import merged_characterization
 from repro.synth.workload import WorkloadBuilder, long_term_config
+from tests.reference import characterization_reference, patterns_reference
 from tests.test_engine_differential import assert_periodicity_identical
 
 DETECTOR = DetectorConfig(permutations=10)
@@ -58,12 +55,12 @@ def shuffled(logs):
 
 @pytest.fixture(scope="module")
 def serial_characterization(logs):
-    return run_characterization(logs)
+    return characterization_reference(logs)
 
 
 @pytest.fixture(scope="module")
 def serial_patterns(logs):
-    return run_pattern_analysis(logs, detector_config=DETECTOR)
+    return patterns_reference(logs, detector_config=DETECTOR)
 
 
 def stream_merge(records, window_s, **kwargs):
