@@ -45,7 +45,7 @@ import re
 import time
 from hashlib import blake2b
 from pathlib import Path
-from typing import Any, List, Union
+from typing import Any, List, Optional, Union
 
 from ..faults import runtime as fault_runtime
 from ..obs import runtime as obs_runtime
@@ -76,10 +76,21 @@ class CheckpointStore:
     loads.  Subclasses that add caching must preserve this contract —
     the executor defends against the merge base specifically, but
     fresh-per-load is the documented API.
+
+    ``state_type``, when given, is the type every payload must have: a
+    checkpoint holding anything else (a state from before the stage's
+    state type changed) fails to load with :class:`CheckpointError`,
+    so the executor recomputes that shard instead of merging it.
     """
 
-    def __init__(self, directory: Union[str, Path], create: bool = True) -> None:
+    def __init__(
+        self,
+        directory: Union[str, Path],
+        create: bool = True,
+        state_type: Optional[type] = None,
+    ) -> None:
         self.directory = Path(directory)
+        self.state_type = state_type
         if create:
             self.directory.mkdir(parents=True, exist_ok=True)
         elif not self.directory.is_dir():
@@ -135,6 +146,14 @@ class CheckpointStore:
         started = time.perf_counter()
         try:
             payload = self._load_verified(shard_id)
+            if self.state_type is not None and not isinstance(
+                payload, self.state_type
+            ):
+                raise CheckpointError(
+                    f"{self.path_for(shard_id)} holds a "
+                    f"{type(payload).__name__}, not a "
+                    f"{self.state_type.__name__}"
+                )
         except CheckpointError:
             # The executor recomputes on this path; count it so
             # checkpoint rot is visible before it becomes rework.

@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..logs.io import PathLike, read_logs
-from ..logs.partition import iter_partition_files
 from ..logs.record import RequestLog
 
 __all__ = [
@@ -122,6 +121,9 @@ def plan_directory_shards(
     shard id is the relative path of the group's first file plus the
     group size, so the same directory always plans the same ids.
     """
+    # Imported here: in-memory and item plans never walk a directory.
+    from ..logs.partition import iter_partition_files
+
     if files_per_shard <= 0:
         raise ValueError("files_per_shard must be positive")
     root = Path(root)
@@ -164,6 +166,8 @@ def plan_memory_shards(
     """
     if num_shards <= 0:
         raise ValueError("num_shards must be positive")
+    if num_shards == 1:
+        return [MemoryShard(shard_id="mem-0000-of-0001", records=tuple(logs))]
     buckets: List[List[RequestLog]] = [[] for _ in range(num_shards)]
     for record in logs:
         buckets[stable_hash64(record.client_id) % num_shards].append(record)
