@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..core.stats import ranked
 from ..logs.record import RequestLog
 
 __all__ = ["RegionStats", "regional_breakdown", "edge_region"]
@@ -53,10 +54,11 @@ class RegionStats:
         return len(self.unique_clients)
 
     def peak_hour(self) -> int:
-        """Busiest dataset-clock hour (diurnal phase indicator)."""
+        """Busiest dataset-clock hour (diurnal phase indicator); the
+        earliest hour wins a tie."""
         if not self.hourly_volume:
             return 0
-        return max(self.hourly_volume, key=self.hourly_volume.get)
+        return ranked(self.hourly_volume)[0][0]
 
     def peak_to_trough(self) -> float:
         """Ratio of busiest to quietest hourly volume."""

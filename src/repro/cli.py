@@ -649,6 +649,25 @@ def main(argv: Optional[List[str]] = None) -> int:
             check_layout(logs_dir)
         except ValueError as error:
             parser.error(f"--logs-dir: {error}")
+    try:
+        return _run_command(args)
+    except _run_failures() as error:
+        print(f"{parser.prog} {args.command}: error: {error}", file=sys.stderr)
+        return 1
+
+
+def _run_failures() -> tuple:
+    """Exceptions that end a run with an error message and exit status
+    1 instead of a traceback: failed shards and a failed stream source.
+    Evaluated only when a run raises, so a run that succeeds never
+    imports them."""
+    from .engine.executor import EngineError
+    from .stream.ingest import IngestError
+
+    return (EngineError, IngestError)
+
+
+def _run_command(args: argparse.Namespace) -> int:
     metrics_path = getattr(args, "metrics", None)
     trace_path = getattr(args, "trace", None)
     if not (metrics_path or trace_path):

@@ -32,7 +32,6 @@ __all__ = [
     "PeriodicityDetectionState",
     "RunReport",
     "Shard",
-    "ShardExecutor",
     "ShardResult",
     "TrackState",
     "plan_directory_shards",
@@ -45,8 +44,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".checkpoint": ("CheckpointError", "CheckpointStore"),
     ".executor": (
-        "BACKENDS", "EngineError", "RunReport", "ShardExecutor", "ShardResult",
-        "run_shards",
+        "BACKENDS", "EngineError", "RunReport", "ShardResult", "run_shards",
     ),
     ".flowstate": ("FlowCollectionState", "PeriodicityDetectionState"),
     ".ngramstate": ("NgramEvalState", "NgramSequenceState"),

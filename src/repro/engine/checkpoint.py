@@ -18,9 +18,8 @@ pickled envelope::
 The payload is pickled separately so the checksum covers its exact
 byte representation; :meth:`load` recomputes and compares it, which
 catches bit-rot and partial overwrites that still unpickle cleanly.
-Version-1 envelopes (inline unchecked ``payload``) are still read so
-existing checkpoint directories survive the upgrade; new saves are
-always v2.
+Any other version — including the checksum-less v1 envelope — fails
+to load like any unreadable file, so its shard is recomputed.
 
 Durability: writes go temp-file → ``fsync`` → ``os.replace``, so a
 kill (or power loss, up to filesystem guarantees) during a save never
@@ -54,7 +53,6 @@ __all__ = ["CheckpointStore", "CheckpointError"]
 
 _FORMAT = "repro-engine-checkpoint"
 _VERSION = 2
-_LEGACY_VERSION = 1
 _SUFFIX = ".ckpt"
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -84,17 +82,11 @@ class CheckpointStore:
     """
 
     def __init__(
-        self,
-        directory: Union[str, Path],
-        create: bool = True,
-        state_type: Optional[type] = None,
+        self, directory: Union[str, Path], state_type: Optional[type] = None
     ) -> None:
         self.directory = Path(directory)
         self.state_type = state_type
-        if create:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        elif not self.directory.is_dir():
-            raise FileNotFoundError(f"no checkpoint directory at {self.directory}")
+        self.directory.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, shard_id: str) -> Path:
         """Filesystem-safe, collision-free file path for a shard id."""
@@ -177,7 +169,7 @@ class CheckpointStore:
         if (
             not isinstance(envelope, dict)
             or envelope.get("format") != _FORMAT
-            or envelope.get("version") not in (_VERSION, _LEGACY_VERSION)
+            or envelope.get("version") != _VERSION
         ):
             raise CheckpointError(f"{path} is not a v{_VERSION} engine checkpoint")
         if envelope.get("shard_id") != shard_id:
@@ -185,9 +177,6 @@ class CheckpointStore:
                 f"{path} holds shard {envelope.get('shard_id')!r}, "
                 f"expected {shard_id!r}"
             )
-        if envelope.get("version") == _LEGACY_VERSION:
-            # v1: inline payload, no checksum to verify.
-            return envelope["payload"]
         payload_bytes = envelope.get("payload")
         if not isinstance(payload_bytes, bytes):
             raise CheckpointError(f"{path} has a non-bytes v{_VERSION} payload")
@@ -216,14 +205,6 @@ class CheckpointStore:
             except Exception:
                 continue
         return sorted(ids)
-
-    def clear(self) -> int:
-        """Delete every checkpoint file; returns the count removed."""
-        removed = 0
-        for path in self.directory.glob(f"*{_SUFFIX}"):
-            path.unlink()
-            removed += 1
-        return removed
 
     # -- fault hooks (no-ops unless a plan is installed) ------------------
 

@@ -101,7 +101,7 @@ class EngineOptions:
         checkpoint whose state is not a ``state_type`` (one written
         before the stage's state changed) is recomputed.
         """
-        from .executor import ShardExecutor
+        from .executor import run_shards
 
         checkpoint = None
         if self.checkpoint_dir is not None:
@@ -111,17 +111,18 @@ class EngineOptions:
             checkpoint = CheckpointStore(
                 Path(self.checkpoint_dir) / stage, state_type=state_type
             )
-        executor = ShardExecutor(
-            workers=self.workers,
-            backend=self.backend,
-            checkpoint=checkpoint,
-            timeout_s=self.shard_timeout_s,
-            retries=self.retries,
-            faults=self.faults,
-        )
         tags = {"shards": len(shards)}
         if variant:
             tags["variant"] = variant
         with span(f"pipeline.{name}", **tags):
-            state, _ = executor.run(shards, map_fn)
+            state, _ = run_shards(
+                shards,
+                map_fn,
+                workers=self.workers,
+                backend=self.backend,
+                checkpoint=checkpoint,
+                timeout_s=self.shard_timeout_s,
+                retries=self.retries,
+                faults=self.faults,
+            )
         return state

@@ -7,16 +7,15 @@ lost flush, a log line is half a JSON object.  ``repro.faults`` makes
 every one of those failure modes *reproducible*: a
 :class:`~repro.faults.plan.FaultPlan` is a seeded schedule of faults
 that fires the same way on every run, so the hardening that survives
-it — per-shard timeouts and retries, poison-shard quarantine,
-checksum-validated checkpoints, skip-with-counter record parsing —
-can be tested differentially (fault run == fault-free run, field by
+it — per-shard timeouts and retries, checksum-validated
+checkpoints, skip-with-counter record parsing — can be tested differentially (fault run == fault-free run, field by
 field; see ``tests/test_chaos_differential.py``).
 
 The injection sites live behind zero-overhead-when-disabled hooks:
 each site asks :func:`repro.faults.runtime.active` for the installed
 plan once (a module-global read) and does nothing further when no
 plan is installed, so production runs pay a nil-check and nothing
-else.  Plans are installed per run (``ShardExecutor(faults=plan)``,
+else.  Plans are installed per run (``run_shards(..., faults=plan)``,
 ``run_stream(faults=plan)``) and travel to process-pool workers as a
 pickled argument — never ambiently.
 """

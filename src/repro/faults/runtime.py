@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import ContextManager, Iterator, Optional
 
+from .._ambient import swapped
 from .plan import FaultPlan, FaultRule
 
 __all__ = [
@@ -47,32 +48,16 @@ def current_attempt() -> int:
     return getattr(_local, "attempt", 0)
 
 
-@contextmanager
-def installed(plan: Optional[FaultPlan]) -> Iterator[None]:
+def installed(plan: Optional[FaultPlan]) -> ContextManager[None]:
     """Install ``plan`` for the duration of the block.
 
-    ``installed(None)`` is a no-op, so call sites can wrap
-    unconditionally.  Re-entrant installs restore the previous plan on
-    exit, which keeps nested runs (a stream resume inside a test that
-    already installed a plan) well-behaved.
-
-    The restore is compare-and-swap: an *abandoned* worker thread (a
-    timed-out shard attempt still sleeping in an injected hang) that
-    exits this context after a newer plan was installed must not
-    clobber it — if someone else changed the global meanwhile, their
-    install wins and this exit does nothing.
+    ``installed(None)`` is a no-op; nested installs restore in order.
+    The restore is compare-and-swap (:mod:`repro._ambient`): an
+    *abandoned* worker thread (a timed-out shard attempt still
+    sleeping in an injected hang) that leaves this block after a newer
+    plan was installed leaves that plan in place.
     """
-    global _plan
-    if plan is None:
-        yield
-        return
-    previous = _plan
-    _plan = plan
-    try:
-        yield
-    finally:
-        if _plan is plan:
-            _plan = previous
+    return swapped(globals(), "_plan", plan)
 
 
 @contextmanager

@@ -18,32 +18,41 @@ Both expose the same ``predict(history, k)`` interface as
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
+
+from ..core.stats import ranked
 
 __all__ = ["PopularityPredictor", "PerClientRecencyPredictor"]
 
 
 class PopularityPredictor:
-    """History-blind global-popularity baseline."""
+    """History-blind global-popularity baseline.
+
+    Tokens rank by :func:`~repro.core.stats.ranked` (count, then
+    token), so ties never depend on training order.  The ranking is
+    built on the first prediction after training changed the counts.
+    """
 
     def __init__(self) -> None:
         self._counts: Counter = Counter()
-        self._top_cache: List[str] = []
+        self._ranking: Optional[List[str]] = None
 
     def fit(self, sequences: Iterable[Sequence[str]]) -> "PopularityPredictor":
         for sequence in sequences:
             self._counts.update(sequence)
-        self._top_cache = [token for token, _ in self._counts.most_common()]
+        self._ranking = None
         return self
 
     def add_sequence(self, sequence: Sequence[str]) -> None:
         self._counts.update(sequence)
-        self._top_cache = [token for token, _ in self._counts.most_common()]
+        self._ranking = None
 
     def predict(self, history: Sequence[str], k: int = 1) -> List[str]:
         if k < 1:
             raise ValueError("k must be >= 1")
-        return self._top_cache[:k]
+        if self._ranking is None:
+            self._ranking = [token for token, _ in ranked(self._counts)]
+        return self._ranking[:k]
 
     @property
     def vocabulary_size(self) -> int:

@@ -11,9 +11,9 @@ signature.
 Two layers of ambience:
 
 * :func:`installed` swaps the **process-global** registry in a
-  compare-and-swap context manager, exactly like
-  ``repro.faults.runtime.installed`` — the CLI and tests wrap whole
-  runs in it.
+  compare-and-swap context manager — the same ``repro._ambient``
+  helper as ``repro.faults.runtime.installed`` — the CLI and tests
+  wrap whole runs in it.
 * :func:`shard_scope` overrides the registry **thread-locally**.  The
   executor's thread backend runs shards on worker threads of the same
   process; each worker records into its own per-shard registry (so
@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, ContextManager, Dict, Iterator, Optional
 
+from .._ambient import swapped
 from .registry import MetricsRegistry
 
 __all__ = [
@@ -70,8 +71,7 @@ def install(registry: Optional[MetricsRegistry]) -> None:
     _registry = registry
 
 
-@contextmanager
-def installed(registry: Optional[MetricsRegistry]) -> Iterator[None]:
+def installed(registry: Optional[MetricsRegistry]) -> ContextManager[None]:
     """Install a process-global registry for the duration of a block.
 
     ``None`` is a no-op context so call sites can pass an optional
@@ -79,17 +79,7 @@ def installed(registry: Optional[MetricsRegistry]) -> Iterator[None]:
     installs unwind in order, and an exit after someone else installed
     a newer registry leaves theirs in place.
     """
-    if registry is None:
-        yield
-        return
-    global _registry
-    previous = _registry
-    _registry = registry
-    try:
-        yield
-    finally:
-        if _registry is registry:
-            _registry = previous
+    return swapped(globals(), "_registry", registry)
 
 
 @contextmanager

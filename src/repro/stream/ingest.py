@@ -23,9 +23,10 @@ manager), with an explicit, bounded hand-off queue in between:
   edge hours behind another) holds the watermark back instead of
   mass-dropping the slow edge's records as late.
 
-Worker exceptions propagate to the consumer at the next
-:meth:`IngestStage.records` step — a crashed source never turns into
-a silently truncated stream.
+Worker exceptions propagate to the consumer, as an
+:class:`IngestError` naming the source's own error, once the queued
+records drain — a crashed source never turns into a silently
+truncated stream.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..faults import runtime as fault_runtime
 from ..logs.record import RequestLog
 from ..obs import runtime as obs_runtime
 
-__all__ = ["IngestStats", "IngestStage"]
+__all__ = ["IngestError", "IngestStats", "IngestStage"]
 
 #: Queue poll granularity; bounds shutdown latency, not throughput.
 _POLL_S = 0.05
@@ -55,6 +56,10 @@ class _SourceDone:
 
     def __init__(self, source: int) -> None:
         self.source = source
+
+
+class IngestError(RuntimeError):
+    """A source failed; the cause is the source's own exception."""
 
 
 @dataclass
@@ -238,7 +243,10 @@ class IngestStage:
                     )
                 yield item
             if self._errors:
-                raise RuntimeError("ingest source failed") from self._errors[0]
+                error = self._errors[0]
+                raise IngestError(
+                    f"ingest source failed: {type(error).__name__}: {error}"
+                ) from error
         finally:
             self._stop.set()
             for thread in self._threads:

@@ -144,6 +144,17 @@ class TestBaselinePredictors:
         baseline.fit([["a", "a", "a", "b", "b", "c"]])
         assert baseline.predict(["anything"], k=2) == ["a", "b"]
 
+    @pytest.mark.parametrize("order", [["a", "b"], ["b", "a"]])
+    def test_popularity_breaks_ties_by_token(self, order):
+        fitted = PopularityPredictor().fit([order])
+        assert fitted.predict([], k=2) == ["a", "b"]
+        grown = PopularityPredictor()
+        for token in order:
+            grown.add_sequence([token])
+        assert grown.predict([], k=2) == ["a", "b"]
+        grown.add_sequence(["b"])
+        assert grown.predict([], k=2) == ["b", "a"]
+
     def test_popularity_ignores_history(self):
         baseline = PopularityPredictor().fit([["a", "a", "b"]])
         assert baseline.predict(["b"], k=1) == baseline.predict(["zzz"], k=1)

@@ -379,3 +379,35 @@ class TestCommands:
         serial_out = capsys.readouterr().out
         assert main(["patterns", "--workers", "2"] + argv_tail) == 0
         assert capsys.readouterr().out == serial_out
+
+    @pytest.fixture
+    def corrupt_partition(self, tmp_path):
+        """A partition directory whose first ``.gz`` file is not gzip."""
+        from repro.logs.partition import write_partitioned
+        from repro.synth.workload import WorkloadBuilder, short_term_config
+
+        dataset = WorkloadBuilder(short_term_config(600, seed=6)).build()
+        root = tmp_path / "parts"
+        write_partitioned(dataset.logs, root)
+        damaged = sorted(root.rglob("*.gz"))[0]
+        damaged.write_bytes(b"not a gzip member")
+        return root, damaged.relative_to(root).as_posix()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["characterize"], ["characterize", "--workers", "2"],
+         ["patterns", "--permutations", "5"],
+         ["stream", "--permutations", "5"]],
+        ids=["characterize-1", "characterize-2", "patterns", "stream"],
+    )
+    def test_failed_run_is_an_error_message(
+        self, capsys, corrupt_partition, argv
+    ):
+        root, damaged = corrupt_partition
+        assert main([*argv, "--logs-dir", str(root)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"repro-json-cdn {argv[0]}: error: ")
+        assert "BadGzipFile: Not a gzipped file" in err
+        if argv[0] != "stream":
+            assert f"{damaged}: gzip.BadGzipFile" in err

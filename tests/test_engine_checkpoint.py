@@ -76,17 +76,11 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError):
             store.load("shard-b")
 
-    def test_completed_ids_and_clear(self, tmp_path):
+    def test_completed_ids(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.save("b", CharacterizationState())
         store.save("a", CharacterizationState())
         assert store.completed_ids() == ["a", "b"]
-        assert store.clear() == 2
-        assert store.completed_ids() == []
-
-    def test_missing_directory_without_create(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            CheckpointStore(tmp_path / "absent", create=False)
 
     def test_load_returns_fresh_objects(self, tmp_path):
         """The documented contract: every load unpickles anew, so a
@@ -115,23 +109,34 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="checksum mismatch"):
             store.load("shard-a")
 
-    def test_legacy_v1_checkpoints_still_load(self, tmp_path):
-        """Pre-checksum checkpoint dirs survive the v2 upgrade."""
+    def test_legacy_v1_checkpoints_are_recomputed(self, tmp_path):
+        """A pre-checksum (v1) envelope is unreadable like a torn file:
+        its shard recomputes and is saved again as v2."""
         import pickle
 
+        from repro.engine.shard import plan_memory_shards
+        from tests.test_engine_executor import sum_shard
+
+        logs = [make_log(response_bytes=index) for index in range(40)]
+        shards = plan_memory_shards(logs, 2)
         store = CheckpointStore(tmp_path)
-        state = CharacterizationState()
-        state.ingest(make_log())
+        stale = shards[0].shard_id
         envelope = {
             "format": "repro-engine-checkpoint",
             "version": 1,
-            "shard_id": "shard-v1",
-            "payload": state,  # v1: inline object, no checksum
+            "shard_id": stale,
+            "payload": sum_shard(shards[1]),  # v1: inline, no checksum
         }
-        store.path_for("shard-v1").write_bytes(pickle.dumps(envelope))
-        assert store.has("shard-v1")
-        assert store.load("shard-v1").record_count == 1
-        assert "shard-v1" in store.completed_ids()
+        store.path_for(stale).write_bytes(pickle.dumps(envelope))
+        with pytest.raises(CheckpointError, match="not a v2"):
+            store.load(stale)
+
+        (merged, report), counters = counted(
+            run_shards, shards, sum_shard, checkpoint=store
+        )
+        assert counters["engine.recomputed_checkpoints"] == 1
+        assert sorted(merged.values) == list(range(40))
+        assert store.load(stale).trace == [stale]
 
     def test_saved_file_survives_a_round_trip_rename(self, tmp_path):
         """The atomic write leaves no .tmp residue behind."""

@@ -15,6 +15,8 @@ import time
 
 import pytest
 
+from repro import obs
+from repro.engine import executor
 from repro.engine.checkpoint import CheckpointError, CheckpointStore
 from repro.engine.executor import EngineError, ShardResult, run_shards
 from repro.engine.shard import plan_memory_shards
@@ -209,6 +211,10 @@ class TestIoFaults:
 
 
 class TestExecutorFaults:
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr(executor, "BACKOFF_S", 0.0)
+
     @pytest.fixture
     def shards(self):
         logs = [
@@ -230,7 +236,6 @@ class TestExecutorFaults:
             workers=workers,
             backend=backend,
             retries=1,
-            backoff_s=0.0,
             faults=plan,
         )
         assert sorted(state.values) == list(range(200))
@@ -239,29 +244,22 @@ class TestExecutorFaults:
         retried = {r.shard_id: r.attempts for r in report.results}
         assert max(retried.values()) == 2
 
-    def test_exhausted_retries_quarantine_the_shard(self, shards):
+    def test_exhausted_retries_fail_the_shard(self, shards):
         plan = FaultPlan(
             0, [FaultRule("map.exception", times=5, match="0002-of-0004")]
         )
-        state, report = run_shards(
-            shards,
-            sum_shard,
-            backend="serial",
-            retries=2,
-            backoff_s=0.0,
-            strict=False,
-            faults=plan,
-        )
-        assert len(report.quarantined) == 1
-        assert report.quarantined[0].endswith("0002-of-0004")
-        assert report.retries == 2
-        # The other three shards still merged.
-        healthy = sum(
-            len(shard.records)
-            for shard in shards
-            if not shard.shard_id.endswith("0002-of-0004")
-        )
-        assert len(state.values) == healthy
+        registry = obs.MetricsRegistry()
+        with obs.installed(registry), pytest.raises(EngineError) as excinfo:
+            run_shards(
+                shards, sum_shard, backend="serial", retries=2, faults=plan
+            )
+        (failure,) = excinfo.value.failures
+        assert failure.shard_id.endswith("0002-of-0004")
+        assert failure.attempts == 3
+        counters = registry.snapshot()["counters"]
+        assert counters["engine.shard_retries"] == 2
+        # The other three shards still ran before the raise.
+        assert counters["engine.shards_completed"] == 3
 
     def test_strict_run_raises_the_injected_fault(self, shards):
         plan = FaultPlan(0, [FaultRule("map.exception", match="0002-of-0004")])
@@ -282,7 +280,6 @@ class TestExecutorFaults:
             backend="thread",
             timeout_s=0.2,
             retries=1,
-            backoff_s=0.0,
             faults=plan,
         )
         assert time.perf_counter() - started < 4.0  # never waited out the hang
@@ -301,7 +298,6 @@ class TestExecutorFaults:
             workers=2,
             backend="process",
             retries=1,
-            backoff_s=0.0,
             faults=plan,
         )
         assert sorted(state.values) == list(range(200))
@@ -318,7 +314,6 @@ class TestExecutorFaults:
             sum_shard,
             backend="serial",
             retries=1,
-            backoff_s=0.0,
             faults=plan,
         )
         assert sorted(state.values) == list(range(200))
@@ -333,7 +328,6 @@ class TestExecutorFaults:
             sum_shard,
             backend="serial",
             retries=1,
-            backoff_s=0.0,
             faults=plan,
         )
         assert plan.fired()["map.exception"] == 1

@@ -7,7 +7,7 @@ run fresh interpreters and read their ``sys.modules``:
 * ``import repro.cli`` loads no analysis layer and no numpy;
 * ``characterize --logs-dir`` (the §4 path, serial and sharded)
   loads neither numpy nor the traffic generator, and the serial run
-  loads no process-pool machinery;
+  loads no pool machinery (``concurrent.futures``, ``multiprocessing``);
 * ``stream --logs-dir`` loads neither the generator nor the CDN
   simulator nor anomaly detection.
 
@@ -133,11 +133,11 @@ class TestFreshProcessImports:
 
     def test_serial_characterize_skips_the_process_pool(self, logs_dir):
         # A serial run is the engine on its serial backend, which
-        # imports neither multiprocessing nor the process pool.
+        # imports neither multiprocessing nor any pool.
         modules = run_cli(["characterize", "--logs-dir", logs_dir])
         assert "repro.engine.executor" in modules
         assert loaded_packages(
-            modules, ["multiprocessing", "concurrent.futures.process"]
+            modules, ["multiprocessing", "concurrent.futures"]
         ) == []
 
     def test_stream_skips_synth_cdn_and_anomaly(self, logs_dir):

@@ -112,6 +112,12 @@ class TestRegionalStats:
         stats = regional_breakdown(logs, epoch=0.0)[""]
         assert stats.peak_hour() == 5
 
+    @pytest.mark.parametrize("hours", [(9, 5), (5, 9)])
+    def test_peak_hour_tie_goes_to_the_earliest_hour(self, hours):
+        logs = [make_log(timestamp=3600.0 * hour) for hour in hours]
+        stats = regional_breakdown(logs, epoch=0.0)[""]
+        assert stats.peak_hour() == 5
+
     def test_spread_of_single_region_is_zero(self):
         logs = [make_log(timestamp=0.0)]
         assert peak_hour_spread(regional_breakdown(logs, epoch=0.0)) == 0
