@@ -3,8 +3,8 @@ CDN" (Vargas, Goel, Steiner, Balasubramanian; IMC 2019).
 
 The package is organized as the paper's system stack:
 
-* :mod:`repro.logs` — edge request-log substrate (records, schema,
-  anonymization, serialization, summaries);
+* :mod:`repro.logs` — edge request-log substrate (records and their
+  field contract, anonymization, serialization, summaries);
 * :mod:`repro.useragent` — user-agent parsing, reference databases,
   device/app classification, and a UA generation grammar;
 * :mod:`repro.synth` — the synthetic CDN traffic generator standing

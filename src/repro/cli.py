@@ -450,7 +450,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from .core.pipeline import run_stream
     from .core.report import render_table
     from .periodicity.detector import DetectorConfig
-    from .stream import JsonlEmitter, file_source, stdin_source, tail_source
+    from .logs.io import read_logs, tail_records
+    from .stream import JsonlEmitter, stdin_source
 
     detector_config = DetectorConfig(permutations=args.permutations)
     kwargs = dict(
@@ -473,7 +474,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         emitter = JsonlEmitter(args.emit)
     try:
         if args.follow:
-            source = tail_source(
+            source = tail_records(
                 args.follow,
                 idle_polls=args.idle_polls if args.idle_polls else None,
             )
@@ -483,7 +484,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         elif getattr(args, "logs_dir", None):
             result = run_stream(logs_dir=args.logs_dir, emit=emitter, **kwargs)
         elif args.logs:
-            result = run_stream(file_source(args.logs), emit=emitter, **kwargs)
+            source = read_logs(args.logs, on_error="skip")
+            result = run_stream(source, emit=emitter, **kwargs)
         else:
             dataset = _build_dataset(args)
             result = run_stream(dataset.logs, emit=emitter, **kwargs)

@@ -403,15 +403,8 @@ def run_stream(
     ``docs/robustness.md``).
     """
     from ..faults import runtime as fault_runtime
-    from ..stream import (
-        ALL_TRACKS,
-        JsonlEmitter,
-        StreamConfig,
-        StreamService,
-        directory_sources,
-        iterable_source,
-        merged_directory_source,
-    )
+    from ..logs.partition import edge_streams, read_partitioned
+    from ..stream import ALL_TRACKS, JsonlEmitter, StreamConfig, StreamService
 
     if (logs is None) == (logs_dir is None):
         raise ValueError("provide exactly one of logs= or logs_dir=")
@@ -445,11 +438,13 @@ def run_stream(
         with fault_runtime.installed(faults):
             if logs is not None:
                 if ingest_workers > 1 or queue_policy == "drop":
-                    return service.run([iterable_source(logs)])
+                    return service.run([logs])
                 return service.replay(logs)
+            # One lenient posture for every worker count: a torn line
+            # is skipped and counted, never fatal at one worker only.
             if ingest_workers > 1:
-                return service.run(directory_sources(logs_dir))
-            return service.run([merged_directory_source(logs_dir)])
+                return service.run(edge_streams(logs_dir, on_error="skip"))
+            return service.run([read_partitioned(logs_dir, on_error="skip")])
     finally:
         if emitter is not None and not isinstance(emit, JsonlEmitter):
             emitter.close()

@@ -511,15 +511,20 @@ def _attempts(
     inflight: Dict[Any, _Attempt] = {}
     first_started: Dict[int, float] = {}
     finished: List[Tuple[int, int, float, Any, Optional[str]]] = []
+    retired: List[Any] = []  # worker processes of replaced pools
 
     def retire(old: Any) -> None:
         # The one step that replaces a pool: after an abandoned attempt
         # or a dead worker.  Its running attempts finish and are still
         # collected; nothing waits for an abandoned one.  Nothing is
         # cancelled: an attempt no worker has taken yet would then
-        # never come back from ``wait``.
+        # never come back from ``wait``.  A process pool's workers are
+        # kept so the run can end a hung one, which interpreter exit
+        # would otherwise wait for; ``_processes`` is the only handle
+        # on them before Python 3.14, and ``shutdown`` drops it.
         nonlocal pool
         if old is pool:
+            retired.extend((getattr(old, "_processes", None) or {}).values())
             old.shutdown(wait=False)
             pool = None
 
@@ -592,6 +597,10 @@ def _attempts(
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
+        # Every attempt the run still waits for is on the live pool, so
+        # a retired worker has nothing left to deliver.
+        for process in retired:
+            process.terminate()
 
 
 def _record_run_metrics(

@@ -122,18 +122,13 @@ def plan_directory_shards(
     group size, so the same directory always plans the same ids.
     """
     # Imported here: in-memory and item plans never walk a directory.
-    from ..logs.partition import iter_partition_files
+    from ..logs.partition import partition_edges
 
     if files_per_shard <= 0:
         raise ValueError("files_per_shard must be positive")
     root = Path(root)
-    per_edge: dict = {}
-    for path in iter_partition_files(root, edge_id):
-        per_edge.setdefault(path.parent.name, []).append(path)
-
     shards: List[FileShard] = []
-    for edge in sorted(per_edge):
-        paths = per_edge[edge]
+    for paths in partition_edges(root, edge_id).values():
         for start in range(0, len(paths), files_per_shard):
             group = paths[start:start + files_per_shard]
             first_rel = group[0].relative_to(root).as_posix()

@@ -1,9 +1,9 @@
 """Edge-server request-log substrate.
 
 This package stands in for the CDN log pipeline the paper reads from:
-record types (:mod:`repro.logs.record`), schema validation
-(:mod:`repro.logs.schema`), keyed IP anonymization
-(:mod:`repro.logs.anonymize`), streaming serialization
+record types and their field contract (:mod:`repro.logs.record`),
+keyed IP anonymization (:mod:`repro.logs.anonymize`), streaming
+serialization with the one line decoder every reader shares
 (:mod:`repro.logs.io`), partitioned directories
 (:mod:`repro.logs.partition`), and single-pass dataset summaries
 (:mod:`repro.logs.summary`).
@@ -19,12 +19,6 @@ __all__ = [
     "object_key",
     "IpAnonymizer",
     "generate_key",
-    "LogSchema",
-    "FieldSpec",
-    "SchemaError",
-    "ValidationIssue",
-    "DEFAULT_SCHEMA",
-    "LineStats",
     "read_jsonl",
     "write_jsonl",
     "read_tsv",
@@ -53,15 +47,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "is_time_ordered", "merge_files", "merge_sorted", "split_by_edge",
     ),
     ".io": (
-        "LineStats", "read_jsonl", "read_logs", "read_tsv", "write_jsonl",
-        "write_logs", "write_tsv",
+        "read_jsonl", "read_logs", "read_tsv", "write_jsonl", "write_logs",
+        "write_tsv",
     ),
     ".record": (
         "CacheStatus", "HttpMethod", "RequestLog", "client_key", "object_key",
-    ),
-    ".schema": (
-        "DEFAULT_SCHEMA", "FieldSpec", "LogSchema", "SchemaError",
-        "ValidationIssue",
     ),
     ".summary": ("DatasetSummary", "summarize"),
 })

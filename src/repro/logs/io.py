@@ -9,12 +9,18 @@ can be processed without loading them in memory:
 
 Both transparently read/write gzip when the filename ends in ``.gz``.
 
-Malformed lines are never silently lost: with ``on_error="skip"`` the
-reader drops the line *and counts it* — pass a :class:`LineStats` as
-``stats`` to observe ``skipped`` (and ``parsed``) per read.  The
-``io.truncated_gzip`` and ``io.malformed_line`` fault hooks (see
-``repro.faults``) damage the line stream deterministically to test
-exactly these paths; both are no-ops unless a plan is installed.
+Every reader — a file, a partition shard, a tailed file, stdin —
+decodes through one line loop, :func:`decode_lines`, and one field
+contract, :meth:`RequestLog.from_dict` (TSV rows convert their cells
+the same way).  A malformed line is never silently lost: with
+``on_error="raise"`` it fails the read with
+``"<source>: malformed <FORMAT> record on line N: …"``; with
+``on_error="skip"`` the line is dropped *and counted* — each read
+adds its totals to the ambient obs counters ``io.lines_parsed`` and
+``io.lines_skipped``.  The ``io.truncated_gzip`` and
+``io.malformed_line`` fault hooks (see ``repro.faults``) damage the
+line stream deterministically to test exactly these paths; both are
+no-ops unless a plan is installed.
 """
 
 from __future__ import annotations
@@ -22,15 +28,15 @@ from __future__ import annotations
 import gzip
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..faults import runtime as fault_runtime
-from .record import CacheStatus, HttpMethod, RequestLog
+from ..obs import runtime as obs_runtime
+from .record import RequestLog
 
 __all__ = [
-    "LineStats",
+    "decode_lines",
     "read_jsonl",
     "write_jsonl",
     "read_tsv",
@@ -68,18 +74,6 @@ def _open_text(path: PathLike, mode: str) -> IO[str]:
     if path.suffix == ".gz":
         return io.TextIOWrapper(gzip.open(path, mode + "b"), encoding="utf-8")
     return open(path, mode + "t", encoding="utf-8")
-
-
-@dataclass
-class LineStats:
-    """Per-read line accounting (pass as ``stats`` to a reader).
-
-    ``parsed + skipped`` covers every non-blank line seen, so a
-    lenient read is auditable: nothing disappears without a count.
-    """
-
-    parsed: int = 0
-    skipped: int = 0
 
 
 def _fault_lines(path: PathLike, handle: IO[str]) -> Iterator[Tuple[int, str]]:
@@ -126,35 +120,8 @@ def write_jsonl(records: Iterable[RequestLog], path: PathLike) -> int:
     return count
 
 
-def read_jsonl(
-    path: PathLike, on_error: str = "raise", stats: Optional[LineStats] = None
-) -> Iterator[RequestLog]:
-    """Lazily yield records from a JSONL file (optionally gzipped).
-
-    ``on_error`` is ``"raise"`` (default: abort with the offending
-    line number) or ``"skip"`` (quarantine posture: corrupted lines —
-    truncated writes, partial flushes — are dropped but tallied in
-    ``stats.skipped``, as log pipelines must tolerate).
-    """
-    _check_on_error(on_error)
-    with _open_text(path, "r") as handle:
-        for line_number, line in _fault_lines(path, handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = RequestLog.from_dict(json.loads(line))
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
-                if on_error == "skip":
-                    if stats is not None:
-                        stats.skipped += 1
-                    continue
-                raise ValueError(
-                    f"{path}: malformed JSONL record on line {line_number}: {exc}"
-                ) from exc
-            if stats is not None:
-                stats.parsed += 1
-            yield record
+def _decode_json(line: str) -> RequestLog:
+    return RequestLog.from_dict(json.loads(line))
 
 
 # -- TSV -----------------------------------------------------------------
@@ -202,6 +169,10 @@ def _record_to_row(record: RequestLog) -> str:
     return "\t".join(cells)
 
 
+def _or_null(cell: str, convert):
+    return None if cell == _TSV_NULL else convert(cell)
+
+
 def _row_to_record(row: str) -> RequestLog:
     cells = row.split("\t")
     if len(cells) != len(TSV_COLUMNS):
@@ -209,27 +180,19 @@ def _row_to_record(row: str) -> RequestLog:
             f"expected {len(TSV_COLUMNS)} columns, found {len(cells)}"
         )
     raw = dict(zip(TSV_COLUMNS, cells))
-    user_agent: Optional[str] = (
-        None if raw["user_agent"] == _TSV_NULL else _unescape(raw["user_agent"])
-    )
-    ttl: Optional[float] = (
-        None if raw["ttl_seconds"] == _TSV_NULL else float(raw["ttl_seconds"])
-    )
-    return RequestLog(
-        timestamp=float(raw["timestamp"]),
-        client_ip_hash=raw["client_ip_hash"],
-        user_agent=user_agent,
-        method=HttpMethod(raw["method"]),
-        domain=raw["domain"],
-        url=_unescape(raw["url"]),
-        mime_type=_unescape(raw["mime_type"]),
-        status=int(raw["status"]),
-        response_bytes=int(raw["response_bytes"]),
-        cache_status=CacheStatus(raw["cache_status"]),
-        request_bytes=int(raw["request_bytes"]),
-        ttl_seconds=ttl,
-        edge_id=raw["edge_id"],
-    )
+    # Cells convert to their JSON types; the record's one field
+    # contract then checks them as it checks a JSONL object.
+    return RequestLog.from_dict({
+        **raw,
+        "timestamp": float(raw["timestamp"]),
+        "user_agent": _or_null(raw["user_agent"], _unescape),
+        "url": _unescape(raw["url"]),
+        "mime_type": _unescape(raw["mime_type"]),
+        "status": int(raw["status"]),
+        "response_bytes": int(raw["response_bytes"]),
+        "request_bytes": int(raw["request_bytes"]),
+        "ttl_seconds": _or_null(raw["ttl_seconds"], float),
+    })
 
 
 def write_tsv(records: Iterable[RequestLog], path: PathLike) -> int:
@@ -243,32 +206,73 @@ def write_tsv(records: Iterable[RequestLog], path: PathLike) -> int:
     return count
 
 
-def read_tsv(
-    path: PathLike, on_error: str = "raise", stats: Optional[LineStats] = None
-) -> Iterator[RequestLog]:
-    """Lazily yield records from a TSV file (optionally gzipped).
+# -- the line loop -------------------------------------------------------
 
-    See :func:`read_jsonl` for the ``on_error``/``stats`` contract.
+#: Per format: the line normalisation and the decoder of one line.
+_FORMATS = {
+    "jsonl": (str.strip, _decode_json),
+    "tsv": (lambda line: line.rstrip("\n"), _row_to_record),
+}
+
+
+def decode_lines(
+    lines: Iterable[Tuple[int, str]],
+    source: str,
+    fmt: str = "jsonl",
+    on_error: str = "raise",
+) -> Iterator[RequestLog]:
+    """Decode numbered log lines into records: every reader's one loop.
+
+    Blank lines are ignored.  A line that fails to decode raises
+    ``ValueError("<source>: malformed <FORMAT> record on line N: …")``
+    with ``on_error="raise"``; with ``"skip"`` (the quarantine
+    posture: torn writes and partial flushes are dropped, as log
+    pipelines must tolerate) it is dropped and counted.  When the read
+    ends, its totals go to the ambient obs counters
+    ``io.lines_parsed`` and ``io.lines_skipped``.
     """
-    _check_on_error(on_error)
-    with _open_text(path, "r") as handle:
-        for line_number, line in _fault_lines(path, handle):
-            line = line.rstrip("\n")
+    if on_error not in ("raise", "skip"):
+        raise ValueError("on_error must be 'raise' or 'skip'")
+    normalize, decode = _FORMATS[fmt]
+    parsed = skipped = 0
+    try:
+        for line_number, line in lines:
+            line = normalize(line)
             if not line:
                 continue
             try:
-                record = _row_to_record(line)
-            except (ValueError, KeyError) as exc:
-                if on_error == "skip":
-                    if stats is not None:
-                        stats.skipped += 1
-                    continue
-                raise ValueError(
-                    f"{path}: malformed TSV record on line {line_number}: {exc}"
-                ) from exc
-            if stats is not None:
-                stats.parsed += 1
+                record = decode(line)
+            except ValueError as exc:
+                if on_error == "raise":
+                    raise ValueError(
+                        f"{source}: malformed {fmt.upper()} record on line "
+                        f"{line_number}: {exc}"
+                    ) from exc
+                skipped += 1
+                continue
+            parsed += 1
             yield record
+    finally:
+        obs_runtime.inc("io.lines_parsed", parsed)
+        obs_runtime.inc("io.lines_skipped", skipped)
+
+
+def _read(path: PathLike, fmt: str, on_error: str) -> Iterator[RequestLog]:
+    with _open_text(path, "r") as handle:
+        lines = _fault_lines(path, handle)
+        yield from decode_lines(lines, str(path), fmt, on_error)
+
+
+def read_jsonl(
+    path: PathLike, on_error: str = "raise"
+) -> Iterator[RequestLog]:
+    """:func:`read_logs` of a JSONL file, whatever its name."""
+    return _read(path, "jsonl", on_error)
+
+
+def read_tsv(path: PathLike, on_error: str = "raise") -> Iterator[RequestLog]:
+    """:func:`read_logs` of a TSV file, whatever its name."""
+    return _read(path, "tsv", on_error)
 
 
 # -- incremental tail ----------------------------------------------------
@@ -290,7 +294,6 @@ class LogTailer:
     """
 
     def __init__(self, path: PathLike, on_error: str = "skip") -> None:
-        _check_on_error(on_error)
         self.path = Path(path)
         if self.path.suffix == ".gz":
             raise ValueError(f"cannot tail a gzip file: {self.path}")
@@ -298,8 +301,7 @@ class LogTailer:
         self.on_error = on_error
         self.offset = 0
         self._partial = ""
-        #: Malformed lines dropped so far (``on_error="skip"``).
-        self.skipped = 0
+        self._lines = 0  # complete lines consumed so far
 
     def poll(self) -> List[RequestLog]:
         """Records appended since the previous poll (possibly empty)."""
@@ -312,28 +314,13 @@ class LogTailer:
         if not data:
             return []
         self.offset += len(data)
-        text = self._partial + data.decode("utf-8")
-        lines = text.split("\n")
+        lines = (self._partial + data.decode("utf-8")).split("\n")
         self._partial = lines.pop()  # "" after a complete final line
-        records: List[RequestLog] = []
-        for line in lines:
-            line = line.strip() if self.format == "jsonl" else line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                if self.format == "jsonl":
-                    records.append(RequestLog.from_dict(json.loads(line)))
-                else:
-                    records.append(_row_to_record(line))
-            except (json.JSONDecodeError, TypeError, ValueError, KeyError) as exc:
-                if self.on_error == "skip":
-                    self.skipped += 1
-                    continue
-                raise ValueError(
-                    f"{self.path}: malformed {self.format} record while "
-                    f"tailing: {exc}"
-                ) from exc
-        return records
+        numbered = enumerate(lines, start=self._lines + 1)
+        self._lines += len(lines)
+        return list(
+            decode_lines(numbered, str(self.path), self.format, self.on_error)
+        )
 
 
 def tail_records(
@@ -387,15 +374,8 @@ def write_logs(records: Iterable[RequestLog], path: PathLike) -> int:
     return write_tsv(records, path)
 
 
-def read_logs(
-    path: PathLike, on_error: str = "raise", stats: Optional[LineStats] = None
-) -> Iterator[RequestLog]:
-    """Read records, picking the format from the file extension."""
-    if _detect_format(path) == "jsonl":
-        return read_jsonl(path, on_error=on_error, stats=stats)
-    return read_tsv(path, on_error=on_error, stats=stats)
-
-
-def _check_on_error(on_error: str) -> None:
-    if on_error not in ("raise", "skip"):
-        raise ValueError("on_error must be 'raise' or 'skip'")
+def read_logs(path: PathLike, on_error: str = "raise") -> Iterator[RequestLog]:
+    """Lazily yield a log file's records (optionally gzipped), picking
+    the format from the file extension; see :func:`decode_lines` for
+    ``on_error``."""
+    return _read(path, _detect_format(path), on_error)

@@ -11,7 +11,10 @@ Layout::
     <root>/<edge_id>/<bucket>.<ext>
 
 where ``bucket`` is the UTC hour (``YYYY-mm-dd-HH``) of the records
-inside.  Readers merge across edges with the streaming k-way merge.
+inside.  :func:`partition_edges` is the one walk of that layout:
+every reader — the merged stream, the engine's shard plan and the
+stream's per-edge sources — takes each edge's files in bucket order
+from it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ __all__ = [
     "bucket_name",
     "write_partitioned",
     "iter_partition_files",
+    "partition_edges",
     "check_layout",
+    "edge_streams",
     "read_partitioned",
 ]
 
@@ -115,25 +120,50 @@ def check_layout(root: PathLike) -> None:
             )
 
 
+def partition_edges(
+    root: PathLike, edge_id: Optional[str] = None
+) -> Dict[str, List[Path]]:
+    """Each edge's partition files in bucket order, edges in name order."""
+    per_edge: Dict[str, List[Path]] = {}
+    for path in iter_partition_files(root, edge_id):
+        per_edge.setdefault(path.parent.name, []).append(path)
+    return per_edge
+
+
+def edge_streams(
+    root: PathLike,
+    edge_id: Optional[str] = None,
+    on_error: str = "raise",
+) -> List[Iterator[RequestLog]]:
+    """One record stream per edge: its hour files read in bucket order.
+
+    Hours are disjoint and internally sorted, so each stream is time
+    ordered.  A file that fails to read re-raises its own error with
+    the file's path relative to ``root`` attached as a note.
+    """
+    root = Path(root)
+    return [
+        _read_files(root, paths, on_error)
+        for paths in partition_edges(root, edge_id).values()
+    ]
+
+
+def _read_files(
+    root: Path, paths: List[Path], on_error: str
+) -> Iterator[RequestLog]:
+    for path in paths:
+        try:
+            yield from read_logs(path, on_error=on_error)
+        except Exception as exc:
+            exc.add_note(path.relative_to(root).as_posix())
+            raise
+
+
 def read_partitioned(
     root: PathLike,
     edge_id: Optional[str] = None,
     on_error: str = "raise",
 ) -> Iterator[RequestLog]:
-    """Read a partitioned layout back as one time-ordered stream.
-
-    Each edge's hour files concatenate into one time-ordered stream
-    (hours are disjoint and internally sorted); streams from
-    different edges are k-way merged.
-    """
-    root = Path(root)
-    per_edge: Dict[str, List[Path]] = {}
-    for path in iter_partition_files(root, edge_id):
-        per_edge.setdefault(path.parent.name, []).append(path)
-
-    def edge_stream(paths: List[Path]) -> Iterator[RequestLog]:
-        for path in paths:
-            yield from read_logs(path, on_error=on_error)
-
-    streams = [edge_stream(paths) for paths in per_edge.values()]
-    return merge_sorted(streams)
+    """Read a partitioned layout back as one time-ordered stream: the
+    k-way merge of its :func:`edge_streams`."""
+    return merge_sorted(edge_streams(root, edge_id, on_error))

@@ -18,7 +18,7 @@ records must be cheap, hashable, and serialization-friendly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = [
@@ -215,10 +215,35 @@ class RequestLog:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RequestLog":
-        """Build a record from a mapping, ignoring unknown keys."""
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        return cls(**kwargs)
+        """Build a record from a decoded JSON object.
+
+        This is the field contract of every log reader: each field
+        must have its JSON type (see :data:`_CONTRACT`) and an enum
+        field a known value, else ``ValueError`` names the field.
+        Unknown keys are ignored; a missing optional field takes its
+        default, a missing required one is an error.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(f"expected a JSON object, got {data!r:.40}")
+        get = data.get
+        values = []
+        for name, types, expected, default, members in _CONTRACT:
+            value = get(name, default)
+            if type(value) not in types:
+                if value is _REQUIRED:
+                    raise ValueError(f"missing field {name!r}")
+                raise ValueError(
+                    f"field {name!r} must be {expected}, got {value!r:.40}"
+                )
+            if members is not None:
+                member = members.get(value)
+                if member is None:
+                    raise ValueError(
+                        f"field {name!r} has unknown value {value!r:.40}"
+                    )
+                value = member
+            values.append(value)
+        return cls(*values)
 
     def with_fields(self, **changes: Any) -> "RequestLog":
         """Return a copy with the given fields replaced."""
@@ -238,3 +263,39 @@ def object_key(domain: str, url: str) -> str:
 def client_key(client_ip_hash: str, user_agent: Optional[str]) -> str:
     """Canonical client identifier (§5.1: user agent + anonymized IP)."""
     return f"{client_ip_hash}|{user_agent or ''}"
+
+
+_REQUIRED = object()  # default marker of a field the JSON must carry
+
+_TEXT = ((str,), "a string")
+_COUNT = ((int,), "an integer")  # exact type: a bool is no count
+_NUMBER = ((float, int), "a number")
+
+#: JSON type of each field; fields absent here take only strings.
+_JSON_TYPES = {
+    "timestamp": _NUMBER,
+    "user_agent": ((str, type(None)), "a string or null"),
+    "status": _COUNT,
+    "response_bytes": _COUNT,
+    "request_bytes": _COUNT,
+    "ttl_seconds": ((float, int, type(None)), "a number or null"),
+}
+
+_ENUM_MEMBERS = {
+    "method": {member.value: member for member in HttpMethod},
+    "cache_status": {member.value: member for member in CacheStatus},
+}
+
+#: ``(name, accepted types, expected, JSON default, enum members)`` per
+#: field in constructor order: :meth:`RequestLog.from_dict`'s contract,
+#: built once rather than per record.
+_CONTRACT: Tuple[Tuple[str, tuple, str, Any, Optional[dict]], ...] = tuple(
+    (
+        spec.name,
+        *_JSON_TYPES.get(spec.name, _TEXT),
+        _REQUIRED if spec.default is MISSING
+        else getattr(spec.default, "value", spec.default),
+        _ENUM_MEMBERS.get(spec.name),
+    )
+    for spec in fields(RequestLog)
+)

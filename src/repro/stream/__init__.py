@@ -7,7 +7,8 @@ cache tuning — §6) actually ask: "what does the traffic look like
 mergeable states into continuously maintained per-window results:
 
 * :mod:`repro.stream.sources` / :mod:`repro.stream.ingest` — file,
-  directory, tail and stdin sources feeding a bounded queue with
+  directory, tail and stdin sources, all decoded by the one
+  :mod:`repro.logs.io` line loop, feeding a bounded queue with
   explicit backpressure or counted load-shedding;
 * :mod:`repro.stream.windows` — event-time tumbling/sliding windows
   with watermark-based sealing and late-record accounting;
@@ -44,17 +45,12 @@ __all__ = [
     "WindowManager",
     "WindowSnapshot",
     "WindowSpec",
-    "directory_sources",
-    "file_source",
-    "iterable_source",
     "merge_accumulators",
     "merged_characterization",
-    "merged_directory_source",
     "merged_ngram",
     "merged_pattern_report",
     "merged_periodicity",
     "stdin_source",
-    "tail_source",
     "window_id",
 ]
 
@@ -67,10 +63,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".ingest": ("IngestStage", "IngestStats"),
     ".service": ("StreamConfig", "StreamResult", "StreamService", "window_id"),
     ".snapshots": ("JsonlEmitter", "SnapshotBuilder", "WindowSnapshot"),
-    ".sources": (
-        "directory_sources", "file_source", "iterable_source",
-        "merged_directory_source", "stdin_source", "tail_source",
-    ),
+    ".sources": ("stdin_source",),
     ".windows": (
         "WatermarkClock", "WindowBounds", "WindowManager", "WindowSpec",
     ),

@@ -24,9 +24,10 @@ manager), with an explicit, bounded hand-off queue in between:
   mass-dropping the slow edge's records as late.
 
 Worker exceptions propagate to the consumer, as an
-:class:`IngestError` naming the source's own error, once the queued
-records drain — a crashed source never turns into a silently
-truncated stream.
+:class:`IngestError` naming the source's own error (after the
+location a source attached to it as a note, such as a partition
+file's relative path), once the queued records drain — a crashed
+source never turns into a silently truncated stream.
 """
 
 from __future__ import annotations
@@ -244,8 +245,12 @@ class IngestStage:
                 yield item
             if self._errors:
                 error = self._errors[0]
+                where = "".join(
+                    f"{note}: " for note in getattr(error, "__notes__", ())
+                )
                 raise IngestError(
-                    f"ingest source failed: {type(error).__name__}: {error}"
+                    f"ingest source failed: {where}"
+                    f"{type(error).__name__}: {error}"
                 ) from error
         finally:
             self._stop.set()
@@ -257,8 +262,10 @@ class IngestStage:
         """Mirror the stage's counters into the ambient registry.
 
         Flushed once, when consumption ends (including on error), so
-        the obs counters are the settled totals — the producer threads
-        themselves never touch the ambient registry.
+        the obs counters are the settled totals.  The producer threads
+        record nothing of the stage's own; the sources they drain add
+        their ``io.lines_*`` read totals, which the registry's lock
+        makes safe from any thread.
         """
         registry = obs_runtime.active()
         if registry is None:

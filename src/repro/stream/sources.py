@@ -1,120 +1,31 @@
 """Record sources for the ingest stage.
 
-A *source* is just an iterable of :class:`~repro.logs.record.RequestLog`;
-these helpers build the ones a streaming deployment needs:
-
-* :func:`iterable_source` — wrap an in-memory collection/generator
-  (replays, tests).
-* :func:`file_source` — stream one JSONL/TSV file, quarantining
-  malformed lines by default (live pipelines must tolerate torn
-  writes).
-* :func:`directory_sources` — a partitioned log directory
-  (:mod:`repro.logs.partition` layout) as one time-ordered source per
-  edge; edges interleave at ingest, bounded by the watermark lag.
-* :func:`merged_directory_source` — the same directory as a single
-  globally time-ordered stream (k-way merge), for lag-0 replays.
-* :func:`tail_source` — follow a growing log file via
-  :class:`repro.logs.io.LogTailer`.
-* :func:`stdin_source` — parse JSONL records from a text stream
-  (``repro stream --stdin``).
+A *source* is just an iterable of :class:`~repro.logs.record.RequestLog`
+— an in-memory list, :func:`repro.logs.io.read_logs` of a file,
+:func:`repro.logs.partition.read_partitioned` of a directory merged
+into one time-ordered stream or its
+:func:`~repro.logs.partition.edge_streams` (one source per edge),
+:func:`repro.logs.io.tail_records` following a growing file, or
+:func:`stdin_source`.  All of them decode through the one
+:func:`repro.logs.io.decode_lines` loop; the stream reads each in the
+lenient posture (malformed lines are dropped and counted in
+``io.lines_skipped``, as a live pipeline must tolerate torn writes).
 """
 
 from __future__ import annotations
 
-import json
 import sys
-from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Union
+from typing import IO, Iterator, Optional
 
-from ..logs.io import read_logs, tail_records
-from ..logs.partition import iter_partition_files, read_partitioned
+from ..logs.io import decode_lines
 from ..logs.record import RequestLog
 
-__all__ = [
-    "iterable_source",
-    "file_source",
-    "directory_sources",
-    "merged_directory_source",
-    "tail_source",
-    "stdin_source",
-]
-
-PathLike = Union[str, Path]
-
-
-def iterable_source(records: Iterable[RequestLog]) -> Iterator[RequestLog]:
-    """An in-memory iterable as a source (materializes nothing)."""
-    return iter(records)
-
-
-def file_source(
-    path: PathLike, on_error: str = "skip"
-) -> Iterator[RequestLog]:
-    """Stream one log file; malformed lines quarantined by default."""
-    return read_logs(path, on_error=on_error)
-
-
-def directory_sources(
-    root: PathLike, on_error: str = "skip"
-) -> List[Iterator[RequestLog]]:
-    """One time-ordered source per edge of a partitioned directory.
-
-    Each edge's hour files are concatenated in bucket order, so each
-    source is internally time-ordered; *across* sources the ingest
-    stage interleaves arbitrarily, which the window manager absorbs
-    as long as the watermark lag covers the skew between edges.
-    """
-    root = Path(root)
-    by_edge: dict = {}
-    for path in iter_partition_files(root):
-        by_edge.setdefault(path.parent.name, []).append(path)
-
-    def edge_stream(paths: List[Path]) -> Iterator[RequestLog]:
-        for path in paths:
-            for record in read_logs(path, on_error=on_error):
-                yield record
-
-    return [edge_stream(paths) for _, paths in sorted(by_edge.items())]
-
-
-def merged_directory_source(
-    root: PathLike,
-) -> Iterator[RequestLog]:
-    """A partitioned directory as one globally time-ordered stream."""
-    return read_partitioned(root)
-
-
-def tail_source(
-    path: PathLike,
-    poll_interval: float = 0.1,
-    idle_polls: Optional[int] = None,
-    on_error: str = "skip",
-) -> Iterator[RequestLog]:
-    """Follow a growing file; see :func:`repro.logs.io.tail_records`."""
-    return tail_records(
-        path,
-        poll_interval=poll_interval,
-        idle_polls=idle_polls,
-        on_error=on_error,
-    )
+__all__ = ["stdin_source"]
 
 
 def stdin_source(
     stream: Optional[IO[str]] = None, on_error: str = "skip"
 ) -> Iterator[RequestLog]:
     """Parse JSONL records from a text stream (default ``sys.stdin``)."""
-    if on_error not in ("raise", "skip"):
-        raise ValueError("on_error must be 'raise' or 'skip'")
     handle = stream if stream is not None else sys.stdin
-    for line_number, line in enumerate(handle, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield RequestLog.from_dict(json.loads(line))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            if on_error == "skip":
-                continue
-            raise ValueError(
-                f"stdin: malformed JSONL record on line {line_number}: {exc}"
-            ) from exc
+    return decode_lines(enumerate(handle, start=1), "stdin", "jsonl", on_error)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -411,3 +413,66 @@ class TestCommands:
         assert "BadGzipFile: Not a gzipped file" in err
         if argv[0] != "stream":
             assert f"{damaged}: gzip.BadGzipFile" in err
+        else:
+            assert f"ingest source failed: {damaged}: BadGzipFile" in err
+
+    @pytest.fixture
+    def damaged_lines_partition(self, tmp_path):
+        """A partition directory with a torn line and a valid-JSON
+        non-record line appended to two of its files."""
+        import gzip
+
+        from repro.logs.partition import write_partitioned
+        from repro.synth.workload import WorkloadBuilder, short_term_config
+
+        dataset = WorkloadBuilder(short_term_config(600, seed=6)).build()
+        root = tmp_path / "parts"
+        write_partitioned(dataset.logs, root)
+        first, *_, last = sorted(root.rglob("*.gz"))
+        for path, line in ((first, '{"timestamp": 1559'), (last, "[1, 2]")):
+            with gzip.open(path, "at", encoding="utf-8") as handle:
+                handle.write(line + "\n")
+        return root, len(dataset.logs)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_lenient_directory_read_counts_its_skips(
+        self, tmp_path, capsys, damaged_lines_partition, workers
+    ):
+        root, records = damaged_lines_partition
+        metrics = tmp_path / "m.json"
+        assert main(
+            ["characterize", "--logs-dir", str(root), "--lenient",
+             "--workers", workers, "--metrics", str(metrics)]
+        ) == 0
+        assert "Figure 3" in capsys.readouterr().out
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["io.lines_skipped"] == 2
+        assert counters["io.lines_parsed"] == records
+
+    def test_lenient_file_read_skips_a_null_line(self, tmp_path, capsys):
+        path = tmp_path / "logs.jsonl"
+        assert main(
+            ["generate", "--requests", "500", "--seed", "3",
+             "--out", str(path)]
+        ) == 0
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("null\n")
+        assert main(["characterize", "--logs", str(path), "--lenient"]) == 0
+        assert "Figure 3" in capsys.readouterr().out
+
+    def test_stream_posture_is_one_for_every_ingest_worker_count(
+        self, tmp_path, capsys, damaged_lines_partition
+    ):
+        root, _ = damaged_lines_partition
+        emitted = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"emit-{workers}.jsonl"
+            assert main(
+                ["stream", "--logs-dir", str(root), "--window", "60",
+                 "--permutations", "5", "--ingest-workers", workers,
+                 "--emit", str(out)]
+            ) == 0
+            emitted.append(out.read_text())
+        capsys.readouterr()
+        assert emitted[0].count("\n") > 1  # several windows sealed
+        assert emitted[0] == emitted[1]

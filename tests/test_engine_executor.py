@@ -4,7 +4,11 @@ Map functions used with the process backend must be module-level so
 they pickle.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +293,35 @@ class TestPoolShutdown:
         report = outcome["report"]
         assert all(result.ok for result in report.results)
         assert report.results[1].attempts == 2
+
+    def test_hung_process_attempt_does_not_outlive_the_run(self):
+        # An abandoned attempt sleeps 10 s in a retired pool's worker;
+        # the interpreter must not wait for it at exit.
+        script = (
+            "from repro.engine.executor import run_shards\n"
+            "from repro.engine.shard import plan_memory_shards\n"
+            "from repro.faults import FaultPlan, FaultRule\n"
+            "from tests.conftest import make_log\n"
+            "from tests.test_engine_executor import sum_shard\n"
+            "logs = [make_log(client_ip_hash=f'c{i}') for i in range(20)]\n"
+            "plan = FaultPlan(0, [FaultRule('map.hang', times=1, param=10)])\n"
+            "_, report = run_shards(\n"
+            "    plan_memory_shards(logs, 2), sum_shard, workers=2,\n"
+            "    backend='process', timeout_s=0.3, retries=1, faults=plan)\n"
+            "assert all(result.ok for result in report.results)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")])
+        )
+        started = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, env=env,
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 0, result.stderr
+        assert time.perf_counter() - started < 5.0
 
 
 class TestAttemptLoop:

@@ -21,7 +21,8 @@ from repro.engine.checkpoint import CheckpointError, CheckpointStore
 from repro.engine.executor import EngineError, ShardResult, run_shards
 from repro.engine.shard import plan_memory_shards
 from repro.faults import FAULT_SITES, FaultPlan, FaultRule, InjectedFault, runtime
-from repro.logs.io import LineStats, read_jsonl, write_jsonl
+from repro.logs.io import read_jsonl, write_jsonl
+from repro.obs.registry import MetricsRegistry
 from tests.conftest import make_log
 from tests.test_engine_executor import sum_shard
 
@@ -189,14 +190,13 @@ class TestIoFaults:
     def test_malformed_line_skipped_and_counted(self, jsonl_gz):
         # match=":7" selects exactly line 7, regardless of tmp_path.
         plan = FaultPlan(0, [FaultRule("io.malformed_line", match=":7")])
-        with runtime.installed(plan):
-            clean_stats = LineStats()
-            records = list(
-                read_jsonl(jsonl_gz, on_error="skip", stats=clean_stats)
-            )
-        assert clean_stats.skipped == 1
+        registry = MetricsRegistry()
+        with runtime.installed(plan), obs.installed(registry):
+            records = list(read_jsonl(jsonl_gz, on_error="skip"))
+        counters = registry.snapshot()["counters"]
+        assert counters["io.lines_skipped"] == 1
         assert len(records) == 19
-        assert clean_stats.parsed == 19
+        assert counters["io.lines_parsed"] == 19
 
     def test_malformed_line_raises_when_strict(self, jsonl_gz):
         plan = FaultPlan(0, [FaultRule("io.malformed_line", match=":7")])
@@ -205,9 +205,12 @@ class TestIoFaults:
                 list(read_jsonl(jsonl_gz))
 
     def test_no_plan_reads_are_clean(self, jsonl_gz):
-        stats = LineStats()
-        assert len(list(read_jsonl(jsonl_gz, stats=stats))) == 20
-        assert stats.parsed == 20 and stats.skipped == 0
+        registry = MetricsRegistry()
+        with obs.installed(registry):
+            assert len(list(read_jsonl(jsonl_gz))) == 20
+        counters = registry.snapshot()["counters"]
+        assert counters["io.lines_parsed"] == 20
+        assert counters["io.lines_skipped"] == 0
 
 
 class TestExecutorFaults:

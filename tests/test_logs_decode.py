@@ -1,0 +1,124 @@
+"""The one log decoder: every reader, every kind of bad line.
+
+Each reader — a JSONL file, a TSV file, a tailed file and stdin —
+decodes through the same line loop and field contract, so a bad line
+fails the same way everywhere: strict reads raise a ``ValueError``
+naming the source and the line, lenient reads drop the record and
+count it in ``io.lines_skipped``.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import re
+
+import pytest
+
+from repro import obs
+from repro.logs.io import LogTailer, _record_to_row, read_logs
+from repro.obs.registry import MetricsRegistry
+from repro.stream.sources import stdin_source
+from tests.conftest import make_log
+
+GOOD = [make_log(url="/api/a"), make_log(url="/api/b", status=404)]
+
+
+def _json_line(**changes):
+    data = GOOD[0].to_dict()
+    data.update(changes)
+    return json.dumps(data)
+
+
+_TSV_ROW = _record_to_row(GOOD[0])
+
+BAD_LINES = {
+    "jsonl": {
+        "torn": _json_line()[:40],
+        "not-a-record": "[1, 2]",
+        "wrong-type": _json_line(timestamp="1559347200"),
+        "unknown-enum": _json_line(method="FETCH"),
+    },
+    "tsv": {
+        "torn": _TSV_ROW[: len(_TSV_ROW) // 2],
+        "not-a-record": "just\tthree\tcolumns",
+        "wrong-type": _TSV_ROW.replace("\t200\t", "\tOK\t", 1),
+        "unknown-enum": _TSV_ROW.replace("\tGET\t", "\tFETCH\t", 1),
+    },
+}
+
+
+def _lines(fmt, bad):
+    good = (
+        [json.dumps(record.to_dict()) for record in GOOD]
+        if fmt == "jsonl"
+        else [_record_to_row(record) for record in GOOD]
+    )
+    return f"{good[0]}\n{bad}\n{good[1]}\n"
+
+
+def _read(reader, tmp_path, bad_kind, on_error):
+    """``(records, source name, format)`` of one reader over one file
+    whose second line is bad."""
+    fmt = "tsv" if reader == "tsv-file" else "jsonl"
+    text = _lines(fmt, BAD_LINES[fmt][bad_kind])
+    if reader == "stdin":
+        return list(stdin_source(io.StringIO(text), on_error)), "stdin", fmt
+    path = tmp_path / f"edge.{fmt}"
+    path.write_text(text)
+    if reader == "tail":
+        return LogTailer(path, on_error).poll(), str(path), fmt
+    return list(read_logs(path, on_error)), str(path), fmt
+
+
+READERS = ["jsonl-file", "tsv-file", "tail", "stdin"]
+BAD_KINDS = ["torn", "not-a-record", "wrong-type", "unknown-enum"]
+
+
+@pytest.mark.parametrize("bad_kind", BAD_KINDS)
+@pytest.mark.parametrize("reader", READERS)
+class TestOneDecoder:
+    def test_strict_read_names_source_and_line(
+        self, tmp_path, reader, bad_kind
+    ):
+        fmt = "tsv" if reader == "tsv-file" else "jsonl"
+        source = "stdin" if reader == "stdin" else str(
+            tmp_path / f"edge.{fmt}"
+        )
+        expected = (
+            f"{re.escape(source)}: malformed {fmt.upper()} record on line 2: "
+        )
+        with pytest.raises(ValueError, match=expected):
+            _read(reader, tmp_path, bad_kind, "raise")
+
+    def test_lenient_read_drops_and_counts(self, tmp_path, reader, bad_kind):
+        registry = MetricsRegistry()
+        with obs.installed(registry):
+            records, _, _ = _read(reader, tmp_path, bad_kind, "skip")
+        assert records == GOOD
+        counters = registry.snapshot()["counters"]
+        assert counters["io.lines_skipped"] == 1
+        assert counters["io.lines_parsed"] == 2
+
+
+def test_each_read_counts_once(tmp_path):
+    path = tmp_path / "edge.jsonl"
+    path.write_text(_lines("jsonl", "{torn"))
+    registry = MetricsRegistry()
+    with obs.installed(registry):
+        list(read_logs(path, "skip"))
+        list(read_logs(path, "skip"))
+    counters = registry.snapshot()["counters"]
+    assert counters["io.lines_parsed"] == 4
+    assert counters["io.lines_skipped"] == 2
+
+
+def test_tailer_numbers_lines_across_polls(tmp_path):
+    path = tmp_path / "growing.jsonl"
+    path.write_text(_json_line() + "\n")
+    tailer = LogTailer(path, on_error="raise")
+    assert tailer.poll() == GOOD[:1]
+    with open(path, "a") as handle:
+        handle.write(_json_line() + "\n[1, 2]\n")
+    with pytest.raises(ValueError, match="on line 3: expected a JSON object"):
+        tailer.poll()

@@ -216,7 +216,10 @@ class TestLogTailer:
         tailer = LogTailer(path)
         assert tailer.poll() == records[:1]
         tailer_strict = LogTailer(path, on_error="raise")
-        with pytest.raises(ValueError, match="tailing"):
+        with pytest.raises(
+            ValueError,
+            match=r"growing\.jsonl: malformed JSONL record on line 2",
+        ):
             tailer_strict.poll()
 
     def test_tail_records_generator_ends_after_idle_polls(

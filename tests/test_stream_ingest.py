@@ -8,16 +8,14 @@ import time
 
 import pytest
 
-from repro.logs.io import write_logs
-from repro.logs.partition import write_partitioned
-from repro.stream.ingest import IngestStage
-from repro.stream.sources import (
-    directory_sources,
-    file_source,
-    iterable_source,
-    merged_directory_source,
-    stdin_source,
+from repro.logs.io import read_logs, write_logs
+from repro.logs.partition import (
+    edge_streams,
+    read_partitioned,
+    write_partitioned,
 )
+from repro.stream.ingest import IngestStage
+from repro.stream.sources import stdin_source
 from tests.conftest import make_log
 
 BASE_TS = 1_559_347_200.0
@@ -33,7 +31,7 @@ def logs(count, start=0.0, step=1.0, edge="edge-1"):
 class TestIngestStage:
     def test_single_source_preserves_order(self):
         records = logs(50)
-        stage = IngestStage([iterable_source(records)])
+        stage = IngestStage([iter(records)])
         assert list(stage.records()) == records
         stats = stage.stats.snapshot()
         assert stats["ingested"] == 50
@@ -52,7 +50,7 @@ class TestIngestStage:
         )
 
     def test_events_tag_records_and_mark_source_ends(self):
-        stage = IngestStage([iterable_source(logs(3)), iterable_source(logs(2))])
+        stage = IngestStage([iter(logs(3)), iter(logs(2))])
         by_source = {0: 0, 1: 0}
         ends = set()
         for source, record in stage.events():
@@ -65,7 +63,7 @@ class TestIngestStage:
 
     def test_block_policy_is_lossless_with_tiny_queue(self):
         records = logs(500)
-        stage = IngestStage([iterable_source(records)], capacity=4)
+        stage = IngestStage([iter(records)], capacity=4)
         delivered = 0
         for _ in stage.records():
             delivered += 1
@@ -76,7 +74,7 @@ class TestIngestStage:
     def test_drop_policy_sheds_and_counts(self):
         records = logs(2_000)
         stage = IngestStage(
-            [iterable_source(records)], capacity=2, policy="drop"
+            [iter(records)], capacity=2, policy="drop"
         )
         delivered = 0
         for _ in stage.records():
@@ -101,7 +99,7 @@ class TestIngestStage:
         assert isinstance(info.value.__cause__, OSError)
 
     def test_consuming_twice_is_an_error(self):
-        stage = IngestStage([iterable_source(logs(1))])
+        stage = IngestStage([iter(logs(1))])
         list(stage.records())
         with pytest.raises(RuntimeError, match="once"):
             next(stage.records())
@@ -115,7 +113,7 @@ class TestIngestStage:
             IngestStage([], workers=0)
 
     def test_workers_never_exceed_sources(self):
-        stage = IngestStage([iterable_source(logs(2))], workers=8)
+        stage = IngestStage([iter(logs(2))], workers=8)
         assert stage.workers == 1
         assert list(stage.records()) == logs(2)
 
@@ -125,19 +123,19 @@ class TestSources:
         records = logs(7)
         path = tmp_path / "edge.jsonl"
         write_logs(records, path)
-        assert list(file_source(path)) == records
+        assert list(read_logs(path, on_error="skip")) == records
 
     def test_file_source_skips_torn_lines(self, tmp_path):
         path = tmp_path / "edge.jsonl"
         write_logs(logs(2), path)
         with open(path, "a") as handle:
             handle.write('{"half a rec')
-        assert len(list(file_source(path))) == 2
+        assert len(list(read_logs(path, on_error="skip"))) == 2
 
     def test_directory_sources_one_per_edge(self, tmp_path):
         records = logs(10, edge="edge-1") + logs(10, start=50, edge="edge-2")
         write_partitioned(records, tmp_path / "parts")
-        sources = directory_sources(tmp_path / "parts")
+        sources = edge_streams(tmp_path / "parts")
         assert len(sources) == 2
         streams = [list(source) for source in sources]
         for stream in streams:
@@ -149,7 +147,7 @@ class TestSources:
     def test_merged_directory_source_is_time_ordered(self, tmp_path):
         records = logs(15, edge="edge-1") + logs(15, start=0.5, edge="edge-2")
         write_partitioned(records, tmp_path / "parts")
-        merged = list(merged_directory_source(tmp_path / "parts"))
+        merged = list(read_partitioned(tmp_path / "parts", on_error="skip"))
         timestamps = [r.timestamp for r in merged]
         assert timestamps == sorted(timestamps)
         assert len(merged) == 30

@@ -13,7 +13,6 @@ from repro.stream import (
     JsonlEmitter,
     StreamConfig,
     StreamService,
-    iterable_source,
     merge_accumulators,
     merged_characterization,
     window_id,
@@ -260,7 +259,7 @@ class TestRunStreamValidation:
     def test_iterable_goes_through_queue_when_requested(self):
         records = minute_logs(100)
         result = run_stream(
-            iterable_source(records),
+            iter(records),
             window_s=60.0,
             detect_periods=False,
             predict_urls=False,
