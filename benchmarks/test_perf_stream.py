@@ -1,10 +1,11 @@
 """Throughput benchmark for the online stream subsystem.
 
 Replays one seeded workload from a partitioned log directory through
-the full service — bounded ingest queue, event-time windows,
-per-window snapshots — at 1 and N ingest workers, reporting
-records/sec for each path plus the zero-queue in-process replay as
-the upper bound.  ``REPRO_STREAM_BENCH_REQUESTS`` shrinks the dataset
+the full service — event-time windows, per-window snapshots — at 1
+ingest worker (the merged directory replayed on the consuming thread,
+no queue) and at N (one source per edge through the bounded ingest
+queue), reporting records/sec for each path plus the in-memory replay
+as the upper bound.  ``REPRO_STREAM_BENCH_REQUESTS`` shrinks the dataset
 for CI.
 
 Machine-independent invariants are asserted; throughput numbers are
@@ -82,7 +83,7 @@ def test_perf_stream_ingest_throughput(dataset, partitioned_dir):
           f"{serial_result.sealed_windows} windows of {WINDOW_S:.0f}s) ===")
     for name, result, seconds in (
         ("replay (no queue)", replay_result, replay_seconds),
-        ("ingest x1", serial_result, serial_seconds),
+        ("merged replay x1", serial_result, serial_seconds),
         (f"ingest x{PARALLEL_WORKERS}", parallel_result, parallel_seconds),
     ):
         rate = total / seconds if seconds else 0.0

@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import zlib
 from pathlib import Path
 from typing import Callable, List, Optional, Union
 
@@ -244,16 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--ingest-workers", type=_POSITIVE_INT, default=1,
-        help="parallel source readers feeding the bounded queue",
+        help="parallel source readers feeding the bounded queue; at 1 "
+             "(with --queue-policy block) the source is read on the "
+             "consuming thread and no queue runs",
     )
     stream.add_argument(
         "--queue-size", type=_POSITIVE_INT, default=65_536,
-        help="bounded ingest queue capacity (records)",
+        help="bounded ingest queue capacity (records); the queue runs "
+             "only at --ingest-workers > 1 or --queue-policy drop",
     )
     stream.add_argument(
         "--queue-policy", choices=("block", "drop"), default="block",
         help="full-queue behavior: backpressure (block) or counted "
-             "shedding (drop)",
+             "shedding (drop); drop runs the queue at any worker count",
     )
     stream.add_argument("--permutations", type=_PERMUTATIONS, default=20,
                         help="period-detector permutations per window")
@@ -317,19 +321,34 @@ def _build_dataset(args: argparse.Namespace):
     return WorkloadBuilder(config).build()
 
 
+class _ReadFailed(Exception):
+    """A ``--logs``/``--logs-dir`` read failed: a file that does not
+    decode, or a malformed line outside ``--lenient``."""
+
+
 def _load_or_generate(args: argparse.Namespace):
     on_error = "skip" if getattr(args, "lenient", False) else "raise"
     if getattr(args, "logs_dir", None):
         from .logs.partition import read_partitioned
 
-        return list(read_partitioned(args.logs_dir, on_error=on_error)), None
-    if args.logs:
+        records = read_partitioned(args.logs_dir, on_error=on_error)
+    elif args.logs:
         from .logs.io import read_logs
 
-        return list(read_logs(args.logs, on_error=on_error)), None
-    dataset = _build_dataset(args)
-    categories = {d.name: d.category.value for d in dataset.domains}
-    return dataset.logs, categories
+        records = read_logs(args.logs, on_error=on_error)
+    else:
+        dataset = _build_dataset(args)
+        categories = {d.name: d.category.value for d in dataset.domains}
+        return dataset.logs, categories
+    # What a strict read of a damaged file raises: a malformed line or
+    # undecodable text (ValueError), a file that is not gzip or not
+    # readable (OSError), a cut or corrupt gzip member.
+    try:
+        return list(records), None
+    except (ValueError, OSError, EOFError, zlib.error) as error:
+        from .logs.io import describe_read_error
+
+        raise _ReadFailed(describe_read_error(error)) from error
 
 
 def _analysis_inputs(args: argparse.Namespace):
@@ -660,13 +679,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _run_failures() -> tuple:
     """Exceptions that end a run with an error message and exit status
-    1 instead of a traceback: failed shards and a failed stream source.
-    Evaluated only when a run raises, so a run that succeeds never
-    imports them."""
+    1 instead of a traceback: failed shards, a failed stream source
+    and a failed log read.  Evaluated only when a run raises, so a run
+    that succeeds never imports them."""
     from .engine.executor import EngineError
     from .stream.ingest import IngestError
 
-    return (EngineError, IngestError)
+    return (EngineError, IngestError, _ReadFailed)
 
 
 def _run_command(args: argparse.Namespace) -> int:

@@ -384,13 +384,20 @@ def run_stream(
 ):
     """Online windowed analysis over a log source (:mod:`repro.stream`).
 
-    Exactly one input source must be given: ``logs`` (any iterable —
-    replayed in-process) or ``logs_dir`` (a partitioned directory;
-    with ``ingest_workers > 1`` each edge streams as its own source
-    through the bounded ingest queue and keeps its own watermark
-    frontier, so inter-edge skew never makes records late —
-    ``watermark_lag_s`` only needs to cover disorder *within* an
-    edge's own stream).
+    Exactly one input source must be given: ``logs`` (any iterable)
+    or ``logs_dir`` (a partitioned directory, read as the time-ordered
+    merge of its edges; with ``ingest_workers > 1`` each edge streams
+    as its own source and keeps its own watermark frontier, so
+    inter-edge skew never makes records late — ``watermark_lag_s``
+    only needs to cover disorder *within* an edge's own stream).
+
+    One rule picks the ingest path for every input: the bounded
+    :class:`~repro.stream.ingest.IngestStage` (worker threads and a
+    queue) runs only when ``ingest_workers > 1`` or ``queue_policy``
+    is ``"drop"``; otherwise the single source is replayed on the
+    calling thread and ``StreamResult.ingest`` is ``None``.  A source
+    that fails ends the run with the same
+    :class:`~repro.stream.ingest.IngestError` on either path.
 
     Returns the :class:`~repro.stream.service.StreamResult` with one
     :class:`~repro.stream.snapshots.WindowSnapshot` per sealed
@@ -436,15 +443,20 @@ def run_stream(
     )
     try:
         with fault_runtime.installed(faults):
+            # A directory has one lenient posture for every worker
+            # count: a torn line is skipped and counted, never fatal.
             if logs is not None:
-                if ingest_workers > 1 or queue_policy == "drop":
-                    return service.run([logs])
-                return service.replay(logs)
-            # One lenient posture for every worker count: a torn line
-            # is skipped and counted, never fatal at one worker only.
-            if ingest_workers > 1:
-                return service.run(edge_streams(logs_dir, on_error="skip"))
-            return service.run([read_partitioned(logs_dir, on_error="skip")])
+                sources = [logs]
+            elif ingest_workers > 1:
+                sources = edge_streams(logs_dir, on_error="skip")
+            else:
+                sources = [read_partitioned(logs_dir, on_error="skip")]
+            # The queue and its threads earn their cost only when
+            # sources read in parallel or a full queue must shed.
+            if ingest_workers > 1 or queue_policy == "drop":
+                return service.run(sources)
+            (source,) = sources
+            return service.replay(source)
     finally:
         if emitter is not None and not isinstance(emit, JsonlEmitter):
             emitter.close()

@@ -25,6 +25,7 @@ no-ops unless a plan is installed.
 
 from __future__ import annotations
 
+import codecs
 import gzip
 import io
 import json
@@ -37,6 +38,7 @@ from .record import RequestLog
 
 __all__ = [
     "decode_lines",
+    "describe_read_error",
     "read_jsonl",
     "write_jsonl",
     "read_tsv",
@@ -257,6 +259,17 @@ def decode_lines(
         obs_runtime.inc("io.lines_skipped", skipped)
 
 
+def describe_read_error(error: BaseException) -> str:
+    """``<notes>: <Type>: <message>`` of an error a read raised.
+
+    The notes are the locations a reader attached to the error (a
+    partition file's path relative to its root), so the line names
+    where the read failed as well as how.
+    """
+    where = "".join(f"{note}: " for note in getattr(error, "__notes__", ()))
+    return f"{where}{type(error).__name__}: {error}"
+
+
 def _read(path: PathLike, fmt: str, on_error: str) -> Iterator[RequestLog]:
     with _open_text(path, "r") as handle:
         lines = _fault_lines(path, handle)
@@ -286,7 +299,7 @@ class LogTailer:
     seeks straight to its byte offset).  A trailing line without a
     newline is treated as an in-flight partial write and buffered
     until a later poll completes it, so a record is never parsed from
-    half a line.
+    half a line (nor a character from half its UTF-8 bytes).
 
     Only plain (non-gzip) JSONL/TSV files can be tailed: gzip members
     are not byte-addressable mid-stream.  A file that does not exist
@@ -300,6 +313,9 @@ class LogTailer:
         self.format = _detect_format(self.path)
         self.on_error = on_error
         self.offset = 0
+        # A write can end inside a multi-byte character: the decoder
+        # holds its leading bytes as ``_partial`` holds a torn line.
+        self._decoder = codecs.getincrementaldecoder("utf-8")()
         self._partial = ""
         self._lines = 0  # complete lines consumed so far
 
@@ -314,7 +330,7 @@ class LogTailer:
         if not data:
             return []
         self.offset += len(data)
-        lines = (self._partial + data.decode("utf-8")).split("\n")
+        lines = (self._partial + self._decoder.decode(data)).split("\n")
         self._partial = lines.pop()  # "" after a complete final line
         numbered = enumerate(lines, start=self._lines + 1)
         self._lines += len(lines)

@@ -28,6 +28,11 @@ Worker exceptions propagate to the consumer, as an
 location a source attached to it as a note, such as a partition
 file's relative path), once the queued records drain — a crashed
 source never turns into a silently truncated stream.
+
+:func:`repro.core.pipeline.run_stream` builds a stage only at
+``ingest_workers > 1`` or under the ``"drop"`` policy; otherwise it
+replays its single source on the consuming thread, which reports a
+failed source with the same :func:`source_failed` error.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from ..faults import runtime as fault_runtime
+from ..logs.io import describe_read_error
 from ..logs.record import RequestLog
 from ..obs import runtime as obs_runtime
 
-__all__ = ["IngestError", "IngestStats", "IngestStage"]
+__all__ = ["IngestError", "IngestStats", "IngestStage", "source_failed"]
 
 #: Queue poll granularity; bounds shutdown latency, not throughput.
 _POLL_S = 0.05
@@ -61,6 +67,18 @@ class _SourceDone:
 
 class IngestError(RuntimeError):
     """A source failed; the cause is the source's own exception."""
+
+
+def source_failed(error: BaseException) -> IngestError:
+    """The :class:`IngestError` reporting that a source raised ``error``.
+
+    ``ingest source failed: <notes>: <Type>: <message>``
+    (:func:`~repro.logs.io.describe_read_error`).  Every path that
+    drains a source — the queue's workers and the service's in-thread
+    replay — reports a failure through this one message; raise it
+    ``from error`` to keep the cause.
+    """
+    return IngestError(f"ingest source failed: {describe_read_error(error)}")
 
 
 @dataclass
@@ -245,13 +263,7 @@ class IngestStage:
                 yield item
             if self._errors:
                 error = self._errors[0]
-                where = "".join(
-                    f"{note}: " for note in getattr(error, "__notes__", ())
-                )
-                raise IngestError(
-                    f"ingest source failed: {where}"
-                    f"{type(error).__name__}: {error}"
-                ) from error
+                raise source_failed(error) from error
         finally:
             self._stop.set()
             for thread in self._threads:

@@ -2,9 +2,11 @@
 
 :class:`StreamService` assembles the subsystem end to end:
 
-1. an :class:`~repro.stream.ingest.IngestStage` pulls records from
-   the configured sources through a bounded queue (backpressure or
-   counted shedding),
+1. records arrive from the configured sources — on the calling
+   thread (:meth:`StreamService.replay`), or through an
+   :class:`~repro.stream.ingest.IngestStage`'s worker threads and
+   bounded queue (:meth:`StreamService.run`: backpressure or counted
+   shedding),
 2. a :class:`~repro.stream.windows.WindowManager` routes each record
    into event-time windows whose accumulators are the engine's
    mergeable states, sealing windows as the watermark advances,
@@ -41,7 +43,7 @@ from ..obs.spans import span
 from ..periodicity.detector import DetectorConfig
 from ..periodicity.flows import FlowFilter
 from .accumulators import ALL_TRACKS, WindowAccumulator
-from .ingest import IngestStage, IngestStats
+from .ingest import IngestStage, IngestStats, source_failed
 from .snapshots import JsonlEmitter, SnapshotBuilder, WindowSnapshot
 from .windows import WindowBounds, WindowManager, WindowSpec
 
@@ -177,14 +179,25 @@ class StreamService:
         return self._finish()
 
     def replay(self, records: Iterable[RequestLog]) -> StreamResult:
-        """Synchronous single-source run, bypassing the ingest queue.
+        """Synchronous single-source run on the calling thread.
 
-        The differential harness and unit tests use this: identical
-        windowing semantics, no threads.
+        Identical windowing semantics to :meth:`run`, without the
+        queue or its threads.  A source that raises ends the run as
+        it would through the queue, with :func:`~.ingest.source_failed`'s
+        :class:`~.ingest.IngestError`; an error raised while sealing,
+        checkpointing or emitting a window propagates as itself.
         """
         self._begin(ingest_stats=None)
-        for record in records:
-            self._manager.process(record)
+        process = self._manager.process
+        source = iter(records)
+        while True:
+            try:
+                record = next(source)
+            except StopIteration:
+                break
+            except Exception as error:
+                raise source_failed(error) from error
+            process(record)
         return self._finish()
 
     def load_sealed_accumulators(self) -> List[WindowAccumulator]:

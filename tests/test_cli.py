@@ -261,9 +261,15 @@ class TestCommands:
         with open(out_file, "a", encoding="utf-8") as handle:
             handle.write('{"torn mid-write\n')
         capsys.readouterr()
-        # Strict (default) ingest refuses the damaged file...
-        with pytest.raises(ValueError, match="malformed JSONL"):
-            main(["characterize", "--logs", str(out_file)])
+        # Strict (default) ingest refuses the damaged file with an
+        # error message, not a traceback...
+        assert main(["characterize", "--logs", str(out_file)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(
+            f"repro-json-cdn characterize: error: ValueError: {out_file}: "
+            "malformed JSONL record on line "
+        )
         # ...lenient skips the bad line and analyzes the rest.
         assert main(
             ["characterize", "--logs", str(out_file), "--lenient"]
@@ -413,8 +419,16 @@ class TestCommands:
         assert "BadGzipFile: Not a gzipped file" in err
         if argv[0] != "stream":
             assert f"{damaged}: gzip.BadGzipFile" in err
-        else:
-            assert f"ingest source failed: {damaged}: BadGzipFile" in err
+            return
+        assert f"ingest source failed: {damaged}: BadGzipFile" in err
+        # A single damaged file fails the one-worker replay the same way.
+        assert main([*argv, "--logs", str(root / damaged)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(
+            "repro-json-cdn stream: error: ingest source failed: "
+            "BadGzipFile: Not a gzipped file"
+        )
 
     @pytest.fixture
     def damaged_lines_partition(self, tmp_path):

@@ -191,6 +191,21 @@ class TestLogTailer:
             handle.write(line[20:] + "\n")
         assert tailer.poll() == records[:1]
 
+    def test_write_torn_inside_a_character_buffers_its_bytes(
+        self, records, tmp_path
+    ):
+        path = tmp_path / "growing.jsonl"
+        record = records[0].with_fields(url="/api/café")
+        data = (json.dumps(record.to_dict(), ensure_ascii=False) + "\n").encode()
+        cut = data.index("é".encode()) + 1  # between the two bytes of é
+        path.write_bytes(data[:cut])
+        tailer = LogTailer(path)
+        assert tailer.poll() == []
+        with open(path, "ab") as handle:
+            handle.write(data[cut:])
+        assert tailer.poll() == [record]
+        assert tailer.poll() == []
+
     def test_tsv_files_tail_too(self, records, tmp_path):
         path = tmp_path / "growing.tsv"
         write_tsv(records[:1], path)

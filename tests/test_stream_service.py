@@ -3,6 +3,7 @@ drift, and the ``repro stream`` CLI wiring."""
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -289,3 +290,73 @@ class TestRunStreamValidation:
         )
         emitter.close()
         assert out.read_text().count("\n") >= 2
+
+
+class TestIngestPath:
+    """One rule picks the ingest path for every input: the queue and
+    its threads run only at ``ingest_workers > 1`` or under the drop
+    policy; otherwise the single source replays on the calling thread."""
+
+    @pytest.fixture
+    def logs_dir(self, tmp_path):
+        from repro.logs.partition import write_partitioned
+
+        records = [
+            record.with_fields(edge_id=f"edge-{index % 3}")
+            for index, record in enumerate(minute_logs(300))
+        ]
+        root = tmp_path / "parts"
+        write_partitioned(records, root)
+        return str(root), len(records)
+
+    def test_one_worker_directory_replays_without_the_queue(
+        self, logs_dir, monkeypatch
+    ):
+        root, records = logs_dir
+        kwargs = dict(window_s=60.0, detect_periods=False, predict_urls=False)
+        queued = [
+            run_stream(logs_dir=root, ingest_workers=2, **kwargs),
+            run_stream(logs_dir=root, queue_policy="drop", **kwargs),
+        ]
+        assert all(result.ingest is not None for result in queued)
+
+        def no_queue(*args, **kwargs):
+            raise AssertionError("a one-worker block run built the queue")
+
+        monkeypatch.setattr("repro.stream.service.IngestStage", no_queue)
+        replayed = run_stream(logs_dir=root, **kwargs)
+        assert replayed.ingest is None
+        assert replayed.records_windowed == records
+        assert replayed.sealed_windows > 1
+        for result in queued:
+            assert result.snapshots == replayed.snapshots
+
+    def test_failed_source_ends_a_replay_as_on_the_queue(self):
+        from repro.stream.ingest import IngestError
+
+        records = minute_logs(120)
+        errors = []
+        for run in (
+            lambda service: service.replay(FailAfter(records, after=60)),
+            lambda service: service.run([FailAfter(records, after=60)]),
+        ):
+            with pytest.raises(IngestError) as caught:
+                run(StreamService(fast_config()))
+            assert isinstance(caught.value.__cause__, OSError)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] == "ingest source failed: OSError: killed"
+
+    def test_emitter_failure_in_a_replay_is_not_an_ingest_failure(self):
+        class FullDisk(JsonlEmitter):
+            def emit(self, snapshot):
+                raise OSError("no space left")
+
+        with pytest.raises(OSError, match="no space left") as caught:
+            run_stream(
+                minute_logs(120),
+                window_s=60.0,
+                detect_periods=False,
+                predict_urls=False,
+                emit=FullDisk(io.StringIO()),
+            )
+        assert type(caught.value) is OSError
