@@ -245,19 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--ingest-workers", type=_POSITIVE_INT, default=1,
-        help="parallel source readers feeding the bounded queue; at 1 "
-             "(with --queue-policy block) the source is read on the "
-             "consuming thread and no queue runs",
+        help="has no effect: every source is read on the consuming "
+             "thread",
     )
     stream.add_argument(
         "--queue-size", type=_POSITIVE_INT, default=65_536,
-        help="bounded ingest queue capacity (records); the queue runs "
-             "only at --ingest-workers > 1 or --queue-policy drop",
+        help="capacity (records) of the ingest queue that "
+             "--queue-policy drop reads through",
     )
     stream.add_argument(
         "--queue-policy", choices=("block", "drop"), default="block",
-        help="full-queue behavior: backpressure (block) or counted "
-             "shedding (drop); drop runs the queue at any worker count",
+        help="block: read the sources on the consuming thread, so a "
+             "slow analysis slows the read and nothing is lost; drop: "
+             "a reader thread feeds a bounded queue and sheds (and "
+             "counts) records when it is full",
     )
     stream.add_argument("--permutations", type=_PERMUTATIONS, default=20,
                         help="period-detector permutations per window")
@@ -483,7 +484,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         top_k=args.top_k,
         queue_capacity=args.queue_size,
         queue_policy=args.queue_policy,
-        ingest_workers=args.ingest_workers,
         checkpoint_dir=args.checkpoint_dir,
     )
     emitter = None
@@ -555,10 +555,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if result.ingest is not None:
         stats = result.ingest.snapshot()
         print(
-            f"ingest: {stats['delivered']:,} delivered via "
-            f"{stats['workers']} worker(s), queue peak "
-            f"{stats['queue_peak']}, dropped {stats['dropped']}, "
-            f"backpressure stalls {stats['blocked_puts']}"
+            f"ingest: {stats['delivered']:,} delivered, queue peak "
+            f"{stats['queue_peak']}, dropped {stats['dropped']}"
         )
     return 0
 

@@ -375,7 +375,6 @@ def run_stream(
     tracks: Optional[Sequence[str]] = None,
     queue_capacity: int = 65_536,
     queue_policy: str = "block",
-    ingest_workers: int = 1,
     checkpoint_dir: Optional[str] = None,
     emit=None,
     on_snapshot=None,
@@ -385,19 +384,17 @@ def run_stream(
     """Online windowed analysis over a log source (:mod:`repro.stream`).
 
     Exactly one input source must be given: ``logs`` (any iterable)
-    or ``logs_dir`` (a partitioned directory, read as the time-ordered
-    merge of its edges; with ``ingest_workers > 1`` each edge streams
-    as its own source and keeps its own watermark frontier, so
-    inter-edge skew never makes records late — ``watermark_lag_s``
-    only needs to cover disorder *within* an edge's own stream).
+    or ``logs_dir`` (a partitioned directory, read leniently as one
+    source per edge).  Each source keeps its own watermark frontier,
+    so inter-edge skew never makes records late — ``watermark_lag_s``
+    only needs to cover disorder *within* an edge's own stream.
 
-    One rule picks the ingest path for every input: the bounded
-    :class:`~repro.stream.ingest.IngestStage` (worker threads and a
-    queue) runs only when ``ingest_workers > 1`` or ``queue_policy``
-    is ``"drop"``; otherwise the single source is replayed on the
-    calling thread and ``StreamResult.ingest`` is ``None``.  A source
-    that fails ends the run with the same
-    :class:`~repro.stream.ingest.IngestError` on either path.
+    The sources are read on the calling thread through one k-way
+    merge; only ``queue_policy="drop"`` puts the shedding
+    :class:`~repro.stream.ingest.IngestStage` (one reader thread, a
+    queue of ``queue_capacity`` records) in between, and only then is
+    ``StreamResult.ingest`` set.  A source that fails ends the run
+    with a :class:`~repro.stream.ingest.IngestError`.
 
     Returns the :class:`~repro.stream.service.StreamResult` with one
     :class:`~repro.stream.snapshots.WindowSnapshot` per sealed
@@ -410,7 +407,7 @@ def run_stream(
     ``docs/robustness.md``).
     """
     from ..faults import runtime as fault_runtime
-    from ..logs.partition import edge_streams, read_partitioned
+    from ..logs.partition import edge_streams
     from ..stream import ALL_TRACKS, JsonlEmitter, StreamConfig, StreamService
 
     if (logs is None) == (logs_dir is None):
@@ -429,7 +426,6 @@ def run_stream(
         drift_threshold=drift_threshold,
         queue_capacity=queue_capacity,
         queue_policy=queue_policy,
-        ingest_workers=ingest_workers,
         checkpoint_dir=checkpoint_dir,
     )
     emitter = None
@@ -443,20 +439,10 @@ def run_stream(
     )
     try:
         with fault_runtime.installed(faults):
-            # A directory has one lenient posture for every worker
-            # count: a torn line is skipped and counted, never fatal.
             if logs is not None:
-                sources = [logs]
-            elif ingest_workers > 1:
-                sources = edge_streams(logs_dir, on_error="skip")
-            else:
-                sources = [read_partitioned(logs_dir, on_error="skip")]
-            # The queue and its threads earn their cost only when
-            # sources read in parallel or a full queue must shed.
-            if ingest_workers > 1 or queue_policy == "drop":
-                return service.run(sources)
-            (source,) = sources
-            return service.replay(source)
+                return service.run([logs])
+            # A torn line in a directory is skipped and counted.
+            return service.run(edge_streams(logs_dir, on_error="skip"))
     finally:
         if emitter is not None and not isinstance(emit, JsonlEmitter):
             emitter.close()

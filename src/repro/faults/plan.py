@@ -139,7 +139,7 @@ class FaultPlan:
 
     # -- site helpers --------------------------------------------------------
 
-    def corrupt_line(self, key: str, line: str, attempt: int = 0) -> str:
+    def corrupt_line(self, key: str, line: bytes, attempt: int = 0) -> bytes:
         """The (possibly corrupted) form of one log line.
 
         When the ``io.malformed_line`` rule fires, the line is
@@ -149,8 +149,8 @@ class FaultPlan:
         """
         if self.should_fire("io.malformed_line", key, attempt) is None:
             return line
-        body = line.rstrip("\r\n")
-        return body[: len(body) // 2] + '\x00{"torn'
+        body = line.rstrip(b"\r\n")
+        return body[: len(body) // 2] + b'\x00{"torn'
 
     # -- observability -------------------------------------------------------
 

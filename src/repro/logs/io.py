@@ -25,7 +25,6 @@ no-ops unless a plan is installed.
 
 from __future__ import annotations
 
-import codecs
 import gzip
 import io
 import json
@@ -71,14 +70,28 @@ TSV_COLUMNS: List[str] = [
 _TSV_NULL = "-"
 
 
-def _open_text(path: PathLike, mode: str) -> IO[str]:
+def _open_text(path: PathLike) -> IO[str]:
+    """A file to write, gzipped when its name ends in ``.gz``."""
     path = Path(path)
     if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, mode + "b"), encoding="utf-8")
-    return open(path, mode + "t", encoding="utf-8")
+        return io.TextIOWrapper(gzip.open(path, "wb"), encoding="utf-8")
+    return open(path, "wt", encoding="utf-8")
 
 
-def _fault_lines(path: PathLike, handle: IO[str]) -> Iterator[Tuple[int, str]]:
+def _open_bytes(path: PathLike) -> IO[bytes]:
+    """A file to read, as bytes: each line decodes in :func:`decode_lines`,
+    so a line holding an invalid UTF-8 byte is one malformed line."""
+    path = Path(path)
+    if path.suffix == ".gz":
+        # GzipFile.readline is Python code run per line; the buffered
+        # reader splits lines in C and calls the gzip file per chunk.
+        return io.BufferedReader(gzip.open(path, "rb"))
+    return open(path, "rb")
+
+
+def _fault_lines(
+    path: PathLike, handle: IO[bytes]
+) -> Iterator[Tuple[int, bytes]]:
     """Numbered lines of ``handle``, damaged per the installed fault plan.
 
     With no plan installed (the production path) this is a bare
@@ -114,7 +127,7 @@ def _fault_lines(path: PathLike, handle: IO[str]) -> Iterator[Tuple[int, str]]:
 def write_jsonl(records: Iterable[RequestLog], path: PathLike) -> int:
     """Write records as JSON lines; returns the number written."""
     count = 0
-    with _open_text(path, "w") as handle:
+    with _open_text(path) as handle:
         for record in records:
             handle.write(json.dumps(record.to_dict(), separators=(",", ":")))
             handle.write("\n")
@@ -200,7 +213,7 @@ def _row_to_record(row: str) -> RequestLog:
 def write_tsv(records: Iterable[RequestLog], path: PathLike) -> int:
     """Write records as a headerless TSV file; returns the count."""
     count = 0
-    with _open_text(path, "w") as handle:
+    with _open_text(path) as handle:
         for record in records:
             handle.write(_record_to_row(record))
             handle.write("\n")
@@ -213,19 +226,22 @@ def write_tsv(records: Iterable[RequestLog], path: PathLike) -> int:
 #: Per format: the line normalisation and the decoder of one line.
 _FORMATS = {
     "jsonl": (str.strip, _decode_json),
-    "tsv": (lambda line: line.rstrip("\n"), _row_to_record),
+    "tsv": (lambda line: line.rstrip("\r\n"), _row_to_record),
 }
 
 
 def decode_lines(
-    lines: Iterable[Tuple[int, str]],
+    lines: Iterable[Tuple[int, Union[bytes, str]]],
     source: str,
     fmt: str = "jsonl",
     on_error: str = "raise",
 ) -> Iterator[RequestLog]:
     """Decode numbered log lines into records: every reader's one loop.
 
-    Blank lines are ignored.  A line that fails to decode raises
+    A line is UTF-8 bytes (files, tails) or text (stdin, which Python
+    decodes before the program reads it); bytes that are not UTF-8
+    make the line malformed.  Blank lines are ignored.  A line that
+    fails to decode raises
     ``ValueError("<source>: malformed <FORMAT> record on line N: …")``
     with ``on_error="raise"``; with ``"skip"`` (the quarantine
     posture: torn writes and partial flushes are dropped, as log
@@ -239,12 +255,14 @@ def decode_lines(
     parsed = skipped = 0
     try:
         for line_number, line in lines:
-            line = normalize(line)
-            if not line:
-                continue
             try:
+                if type(line) is bytes:
+                    line = line.decode("utf-8")
+                line = normalize(line)
+                if not line:
+                    continue
                 record = decode(line)
-            except ValueError as exc:
+            except ValueError as exc:  # UnicodeDecodeError included
                 if on_error == "raise":
                     raise ValueError(
                         f"{source}: malformed {fmt.upper()} record on line "
@@ -271,7 +289,7 @@ def describe_read_error(error: BaseException) -> str:
 
 
 def _read(path: PathLike, fmt: str, on_error: str) -> Iterator[RequestLog]:
-    with _open_text(path, "r") as handle:
+    with _open_bytes(path) as handle:
         lines = _fault_lines(path, handle)
         yield from decode_lines(lines, str(path), fmt, on_error)
 
@@ -297,9 +315,10 @@ class LogTailer:
     Each :meth:`poll` yields only the records appended since the last
     poll — the already-consumed prefix is never re-read (the tailer
     seeks straight to its byte offset).  A trailing line without a
-    newline is treated as an in-flight partial write and buffered
-    until a later poll completes it, so a record is never parsed from
-    half a line (nor a character from half its UTF-8 bytes).
+    newline is treated as an in-flight partial write and its bytes
+    are buffered until a later poll completes it, so a record is never
+    parsed from half a line (nor a character from half its UTF-8
+    bytes).
 
     Only plain (non-gzip) JSONL/TSV files can be tailed: gzip members
     are not byte-addressable mid-stream.  A file that does not exist
@@ -313,10 +332,7 @@ class LogTailer:
         self.format = _detect_format(self.path)
         self.on_error = on_error
         self.offset = 0
-        # A write can end inside a multi-byte character: the decoder
-        # holds its leading bytes as ``_partial`` holds a torn line.
-        self._decoder = codecs.getincrementaldecoder("utf-8")()
-        self._partial = ""
+        self._partial = b""
         self._lines = 0  # complete lines consumed so far
 
     def poll(self) -> List[RequestLog]:
@@ -330,8 +346,8 @@ class LogTailer:
         if not data:
             return []
         self.offset += len(data)
-        lines = (self._partial + self._decoder.decode(data)).split("\n")
-        self._partial = lines.pop()  # "" after a complete final line
+        lines = (self._partial + data).split(b"\n")
+        self._partial = lines.pop()  # b"" after a complete final line
         numbered = enumerate(lines, start=self._lines + 1)
         self._lines += len(lines)
         return list(

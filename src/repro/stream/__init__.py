@@ -8,8 +8,9 @@ mergeable states into continuously maintained per-window results:
 
 * :mod:`repro.stream.sources` / :mod:`repro.stream.ingest` — file,
   directory, tail and stdin sources, all decoded by the one
-  :mod:`repro.logs.io` line loop, feeding a bounded queue with
-  explicit backpressure or counted load-shedding;
+  :mod:`repro.logs.io` line loop and read through one k-way merge on
+  the consuming thread, or through a bounded queue that sheds and
+  counts records under the ``drop`` policy;
 * :mod:`repro.stream.windows` — event-time tumbling/sliding windows
   with watermark-based sealing and late-record accounting;
 * :mod:`repro.stream.accumulators` — per-window state is exactly the

@@ -2,11 +2,11 @@
 
 :class:`StreamService` assembles the subsystem end to end:
 
-1. records arrive from the configured sources — on the calling
-   thread (:meth:`StreamService.replay`), or through an
-   :class:`~repro.stream.ingest.IngestStage`'s worker threads and
-   bounded queue (:meth:`StreamService.run`: backpressure or counted
-   shedding),
+1. records arrive from the configured sources through one k-way
+   merge (:func:`~repro.logs.merge.merge_events`) read on the calling
+   thread — or, under ``queue_policy="drop"``, through an
+   :class:`~repro.stream.ingest.IngestStage`'s reader thread and
+   bounded queue, which sheds what a full queue cannot take,
 2. a :class:`~repro.stream.windows.WindowManager` routes each record
    into event-time windows whose accumulators are the engine's
    mergeable states, sealing windows as the watermark advances,
@@ -23,7 +23,7 @@ belonging to already-sealed windows (``resumed_skips`` — counted, not
 re-accumulated) and continues sealing from the first incomplete
 window, so no window is ever double-counted or double-emitted.
 
-**Exactness.**  For a lossless replay (``policy="block"``, watermark
+**Exactness.**  For a lossless run (``queue_policy="block"``, watermark
 lag at least the stream's disorder bound), merging every sealed
 window's accumulator reproduces the batch pipelines' states exactly —
 :mod:`repro.stream.accumulators` holds that contract and
@@ -37,13 +37,14 @@ from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..engine.checkpoint import CheckpointError, CheckpointStore
+from ..logs.merge import merge_events
 from ..logs.record import RequestLog
 from ..obs import runtime as obs_runtime
 from ..obs.spans import span
 from ..periodicity.detector import DetectorConfig
 from ..periodicity.flows import FlowFilter
 from .accumulators import ALL_TRACKS, WindowAccumulator
-from .ingest import IngestStage, IngestStats, source_failed
+from .ingest import IngestStage, IngestStats, source_failed, stall_hooks
 from .snapshots import JsonlEmitter, SnapshotBuilder, WindowSnapshot
 from .windows import WindowBounds, WindowManager, WindowSpec
 
@@ -73,10 +74,11 @@ class StreamConfig:
     predict_urls: bool = True
     top_k: int = 5
     drift_threshold: float = 0.10
-    #: Ingest bounds: queue capacity and full-queue policy.
+    #: ``"block"`` reads every source on the consuming thread;
+    #: ``"drop"`` feeds a bounded queue of ``queue_capacity`` records
+    #: and sheds (and counts) what a full queue cannot take.
     queue_capacity: int = 65_536
     queue_policy: str = "block"
-    ingest_workers: int = 1
     checkpoint_dir: Optional[str] = None
 
     def spec(self) -> WindowSpec:
@@ -107,6 +109,8 @@ class StreamResult:
     accepted_assignments: int = 0
     late_assignments: int = 0
     resumed_assignments: int = 0
+    #: The shedding queue's counters; ``None`` unless the run used
+    #: ``queue_policy="drop"``.
     ingest: Optional[IngestStats] = None
 
     @property
@@ -158,47 +162,48 @@ class StreamService:
     ) -> StreamResult:
         """Drain the sources through the full pipeline; returns totals.
 
-        Blocks until every source is exhausted (use bounded tail
-        sources, or run in a thread, for endless feeds).
-        """
-        ingest = IngestStage(
-            sources,
-            capacity=self.config.queue_capacity,
-            policy=self.config.queue_policy,
-            workers=self.config.ingest_workers,
-        )
-        self._begin(
-            ingest_stats=ingest.stats,
-            sources=max(1, len(ingest.sources)),
-        )
-        for source, record in ingest.events():
-            if record is None:
-                self._manager.finish_source(source)
-            else:
-                self._manager.process(record, source)
-        return self._finish()
-
-    def replay(self, records: Iterable[RequestLog]) -> StreamResult:
-        """Synchronous single-source run on the calling thread.
-
-        Identical windowing semantics to :meth:`run`, without the
-        queue or its threads.  A source that raises ends the run as
-        it would through the queue, with :func:`~.ingest.source_failed`'s
+        Each source keeps its own watermark frontier, so the watermark
+        lag only has to cover disorder within a source.  The sources
+        are read through one k-way merge on the calling thread, or
+        under the ``"drop"`` policy through an
+        :class:`~repro.stream.ingest.IngestStage`.  Blocks until every
+        source is exhausted (use bounded tail sources, or run in a
+        thread, for endless feeds).  A source that raises ends the
+        run with :func:`~.ingest.source_failed`'s
         :class:`~.ingest.IngestError`; an error raised while sealing,
         checkpointing or emitting a window propagates as itself.
         """
-        self._begin(ingest_stats=None)
-        process = self._manager.process
-        source = iter(records)
-        while True:
-            try:
-                record = next(source)
-            except StopIteration:
-                break
-            except Exception as error:
-                raise source_failed(error) from error
-            process(record)
+        policy = self.config.queue_policy
+        if policy not in ("block", "drop"):
+            raise ValueError("queue_policy must be 'block' or 'drop'")
+        sources = stall_hooks(sources)
+        result = self._begin(sources=max(1, len(sources)))
+        if policy == "drop":
+            stage = IngestStage(sources, self.config.queue_capacity)
+            result.ingest = stage.stats
+            events = stage.events()
+        else:
+            events = merge_events(sources)
+        manager = self._manager
+        try:
+            while True:
+                try:
+                    source, record = next(events)
+                except StopIteration:
+                    break
+                except Exception as error:
+                    raise source_failed(error) from error
+                if record is None:
+                    manager.finish_source(source)
+                else:
+                    manager.process(record, source)
+        finally:
+            events.close()  # stops a drop run's reader thread on error
         return self._finish()
+
+    def replay(self, records: Iterable[RequestLog]) -> StreamResult:
+        """:meth:`run` over one source."""
+        return self.run([records])
 
     def load_sealed_accumulators(self) -> List[WindowAccumulator]:
         """Previous runs' sealed window accumulators, window order.
@@ -221,12 +226,8 @@ class StreamService:
 
     # -- internals -------------------------------------------------------
 
-    def _begin(
-        self, ingest_stats: Optional[IngestStats], sources: int = 1
-    ) -> StreamResult:
-        self._result = StreamResult(
-            resumed_windows=len(self._presealed), ingest=ingest_stats
-        )
+    def _begin(self, sources: int) -> StreamResult:
+        self._result = StreamResult(resumed_windows=len(self._presealed))
         self._manager = WindowManager(
             self.config.spec(),
             watermark_lag_s=self.config.watermark_lag_s,

@@ -1,14 +1,12 @@
-"""Record sources for the ingest stage.
+"""Record sources for the stream.
 
 A *source* is just an iterable of :class:`~repro.logs.record.RequestLog`
 — an in-memory list, :func:`repro.logs.io.read_logs` of a file,
-:func:`repro.logs.partition.read_partitioned` of a directory merged
-into one time-ordered stream or its
-:func:`~repro.logs.partition.edge_streams` (one source per edge),
-:func:`repro.logs.io.tail_records` following a growing file, or
-:func:`stdin_source`.  All of them decode through the one
-:func:`repro.logs.io.decode_lines` loop; the stream reads each in the
-lenient posture (malformed lines are dropped and counted in
+:func:`repro.logs.partition.edge_streams` of a directory (one
+source per edge), :func:`repro.logs.io.tail_records` following a
+growing file, or :func:`stdin_source`.  All of them decode through
+the one :func:`repro.logs.io.decode_lines` loop; the stream reads
+each in the lenient posture (malformed lines are dropped and counted in
 ``io.lines_skipped``, as a live pipeline must tolerate torn writes).
 """
 

@@ -112,7 +112,7 @@ class TestFaultPlan:
         import json
 
         plan = FaultPlan(0, [FaultRule("io.malformed_line")])
-        line = '{"timestamp": 1.0, "url": "/api/v1"}\n'
+        line = b'{"timestamp": 1.0, "url": "/api/v1"}\n'
         damaged = plan.corrupt_line("file:1", line)
         assert damaged != line
         with pytest.raises(json.JSONDecodeError):
@@ -415,17 +415,22 @@ class TestCheckpointFaults:
 
 class TestIngestStall:
     def test_stall_delays_but_loses_nothing(self):
-        from repro.stream.ingest import IngestStage
+        from repro.stream import StreamConfig, StreamService
 
         records = [
             make_log(timestamp=1_559_347_200.0 + i) for i in range(30)
         ]
-        plan = FaultPlan(
-            0, [FaultRule("ingest.stall", rate=1.0, param=0.05)]
-        )
-        with runtime.installed(plan):
-            stage = IngestStage([iter(records)], workers=1)
-            delivered = list(stage)
-        assert len(delivered) == 30
-        assert stage.stats.stalls == 1
-        assert stage.stats.snapshot()["stalls"] == 1
+        for policy in ("block", "drop"):
+            plan = FaultPlan(
+                0, [FaultRule("ingest.stall", rate=1.0, param=0.05)]
+            )
+            registry = MetricsRegistry()
+            config = StreamConfig(
+                window_s=10.0, detect_periods=False, predict_urls=False,
+                queue_policy=policy,
+            )
+            with runtime.installed(plan), obs.installed(registry):
+                result = StreamService(config).run([iter(records)])
+            assert result.records_windowed == 30
+            assert plan.fired()["ingest.stall"] == 1
+            assert registry.snapshot()["counters"]["ingest.stalls"] == 1

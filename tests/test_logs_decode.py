@@ -4,7 +4,10 @@ Each reader — a JSONL file, a TSV file, a tailed file and stdin —
 decodes through the same line loop and field contract, so a bad line
 fails the same way everywhere: strict reads raise a ``ValueError``
 naming the source and the line, lenient reads drop the record and
-count it in ``io.lines_skipped``.
+count it in ``io.lines_skipped``.  A line holding a byte that is not
+UTF-8 is one more bad line for the readers of bytes; stdin has no
+such cell, because Python decodes ``sys.stdin`` before the program
+reads it.
 """
 
 from __future__ import annotations
@@ -38,12 +41,14 @@ BAD_LINES = {
         "not-a-record": "[1, 2]",
         "wrong-type": _json_line(timestamp="1559347200"),
         "unknown-enum": _json_line(method="FETCH"),
+        "invalid-utf8": _json_line().encode().replace(b"/api/a", b"/api/\xff"),
     },
     "tsv": {
         "torn": _TSV_ROW[: len(_TSV_ROW) // 2],
         "not-a-record": "just\tthree\tcolumns",
         "wrong-type": _TSV_ROW.replace("\t200\t", "\tOK\t", 1),
         "unknown-enum": _TSV_ROW.replace("\tGET\t", "\tFETCH\t", 1),
+        "invalid-utf8": _TSV_ROW.encode().replace(b"/api/a", b"/api/\xff"),
     },
 }
 
@@ -54,29 +59,37 @@ def _lines(fmt, bad):
         if fmt == "jsonl"
         else [_record_to_row(record) for record in GOOD]
     )
-    return f"{good[0]}\n{bad}\n{good[1]}\n"
+    if isinstance(bad, str):
+        bad = bad.encode()
+    return b"%s\n%s\n%s\n" % (good[0].encode(), bad, good[1].encode())
 
 
 def _read(reader, tmp_path, bad_kind, on_error):
     """``(records, source name, format)`` of one reader over one file
     whose second line is bad."""
     fmt = "tsv" if reader == "tsv-file" else "jsonl"
-    text = _lines(fmt, BAD_LINES[fmt][bad_kind])
+    data = _lines(fmt, BAD_LINES[fmt][bad_kind])
     if reader == "stdin":
-        return list(stdin_source(io.StringIO(text), on_error)), "stdin", fmt
+        text = io.StringIO(data.decode())
+        return list(stdin_source(text, on_error)), "stdin", fmt
     path = tmp_path / f"edge.{fmt}"
-    path.write_text(text)
+    path.write_bytes(data)
     if reader == "tail":
         return LogTailer(path, on_error).poll(), str(path), fmt
     return list(read_logs(path, on_error)), str(path), fmt
 
 
 READERS = ["jsonl-file", "tsv-file", "tail", "stdin"]
-BAD_KINDS = ["torn", "not-a-record", "wrong-type", "unknown-enum"]
+BAD_KINDS = ["torn", "not-a-record", "wrong-type", "unknown-enum", "invalid-utf8"]
+CELLS = [
+    (reader, bad_kind)
+    for reader in READERS
+    for bad_kind in BAD_KINDS
+    if (reader, bad_kind) != ("stdin", "invalid-utf8")
+]
 
 
-@pytest.mark.parametrize("bad_kind", BAD_KINDS)
-@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("reader,bad_kind", CELLS)
 class TestOneDecoder:
     def test_strict_read_names_source_and_line(
         self, tmp_path, reader, bad_kind
@@ -103,7 +116,7 @@ class TestOneDecoder:
 
 def test_each_read_counts_once(tmp_path):
     path = tmp_path / "edge.jsonl"
-    path.write_text(_lines("jsonl", "{torn"))
+    path.write_bytes(_lines("jsonl", "{torn"))
     registry = MetricsRegistry()
     with obs.installed(registry):
         list(read_logs(path, "skip"))

@@ -5,6 +5,7 @@ import pytest
 from repro.logs.io import read_logs, write_logs
 from repro.logs.merge import (
     is_time_ordered,
+    merge_events,
     merge_files,
     merge_sorted,
     split_by_edge,
@@ -47,6 +48,48 @@ class TestMergeSorted:
         a = iter(edge_stream("edge-a", [1, 2]))
         merged = merge_sorted([a])
         assert next(merged).timestamp == 1
+
+
+class TestMergeEvents:
+    def test_each_end_is_reported_once_after_its_records(self):
+        streams = [
+            edge_stream("edge-a", [1, 4]),
+            [],
+            edge_stream("edge-c", [2, 3, 5, 6]),
+        ]
+        events = list(merge_events(streams))
+        ends = [index for index, record in events if record is None]
+        assert sorted(ends) == [0, 1, 2]
+        for index, stream in enumerate(streams):
+            tagged = [record for i, record in events if i == index]
+            assert tagged == stream + [None]
+
+    def test_records_match_merge_sorted_on_ties(self):
+        streams = [
+            edge_stream(f"edge-{i}", [1, 1, 2, 2, 3][i:]) for i in range(4)
+        ]
+        records = [
+            record for _, record in merge_events(streams) if record is not None
+        ]
+        assert records == list(merge_sorted(streams))
+        assert [(r.timestamp, r.edge_id) for r in records[:4]] == [
+            (1.0, "edge-0"), (1.0, "edge-0"), (1.0, "edge-1"), (2.0, "edge-0"),
+        ]
+
+    def test_one_stream_reads_no_record_ahead(self):
+        pulled = []
+
+        def source():
+            for record in edge_stream("edge-a", [1, 2, 3]):
+                pulled.append(record.timestamp)
+                yield record
+
+        events = merge_events([source()])
+        for expected in (1, 2, 3):
+            index, record = next(events)
+            assert (index, record.timestamp) == (0, expected)
+            assert pulled[-1] == expected
+        assert next(events) == (0, None)
 
 
 class TestMergeFiles:

@@ -166,8 +166,7 @@ class TestStreamConservation:
                 window_s=120.0,
                 detect_periods=False,
                 predict_urls=False,
-                ingest_workers=2,
-                queue_policy="block",
+                queue_policy="drop",
             )
         counters = registry.snapshot()["counters"]
         assert counters["ingest.records_delivered"] == len(records)

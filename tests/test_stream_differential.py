@@ -113,29 +113,25 @@ class TestStreamEqualsBatch:
 
 
 class TestThreadedIngestEqualsBatch:
-    """The same exactness through the real multi-source ingest queue."""
+    """The same exactness from a partitioned directory, one source
+    per edge."""
 
     def test_partitioned_directory_any_worker_count(
         self, logs, serial_characterization, tmp_path_factory
     ):
         root = tmp_path_factory.mktemp("stream-diff") / "parts"
         write_partitioned(logs, root)
-        for workers in (1, 3):
-            result = run_stream(
-                logs_dir=str(root),
-                window_s=WINDOW_SIZES[0],
-                watermark_lag_s=DISORDER_S,
-                detect_periods=False,
-                predict_urls=False,
-                ingest_workers=workers,
-                queue_capacity=256,
-                keep_accumulators=True,
-            )
-            assert result.late_dropped == 0
-            assert result.records_windowed == len(logs)
-            merged = merge_accumulators(result.accumulators)
-            report = merged_characterization(merged)
-            assert report.summary == serial_characterization.summary
-            assert (
-                report.cacheability == serial_characterization.cacheability
-            )
+        result = run_stream(
+            logs_dir=str(root),
+            window_s=WINDOW_SIZES[0],
+            watermark_lag_s=DISORDER_S,
+            detect_periods=False,
+            predict_urls=False,
+            keep_accumulators=True,
+        )
+        assert result.late_dropped == 0
+        assert result.records_windowed == len(logs)
+        merged = merge_accumulators(result.accumulators)
+        report = merged_characterization(merged)
+        assert report.summary == serial_characterization.summary
+        assert report.cacheability == serial_characterization.cacheability

@@ -1,4 +1,4 @@
-"""Tests for the bounded-backpressure ingest stage and its sources."""
+"""Tests for the shedding ingest stage and the stream's sources."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.logs.partition import (
     read_partitioned,
     write_partitioned,
 )
+from repro.stream import StreamConfig, StreamService
 from repro.stream.ingest import IngestStage
 from repro.stream.sources import stdin_source
 from tests.conftest import make_log
@@ -40,9 +41,7 @@ class TestIngestStage:
 
     def test_multiple_sources_deliver_everything(self):
         first, second, third = logs(20), logs(30, start=100), logs(10, start=200)
-        stage = IngestStage(
-            [iter(first), iter(second), iter(third)], workers=2
-        )
+        stage = IngestStage([iter(first), iter(second), iter(third)])
         delivered = list(stage.records())
         assert len(delivered) == 60
         assert sorted(r.timestamp for r in delivered) == sorted(
@@ -61,21 +60,9 @@ class TestIngestStage:
         assert by_source == {0: 3, 1: 2}
         assert ends == {0, 1}
 
-    def test_block_policy_is_lossless_with_tiny_queue(self):
-        records = logs(500)
-        stage = IngestStage([iter(records)], capacity=4)
-        delivered = 0
-        for _ in stage.records():
-            delivered += 1
-        assert delivered == 500
-        assert stage.stats.dropped == 0
-        assert stage.stats.queue_peak <= 4
-
     def test_drop_policy_sheds_and_counts(self):
         records = logs(2_000)
-        stage = IngestStage(
-            [iter(records)], capacity=2, policy="drop"
-        )
+        stage = IngestStage([iter(records)], capacity=2)
         delivered = 0
         for _ in stage.records():
             time.sleep(0.001)  # slow consumer forces the queue full
@@ -85,6 +72,22 @@ class TestIngestStage:
         assert delivered + stats["dropped"] == 2_000
         assert stats["ingested"] == delivered
 
+    def test_shedding_is_bounded_and_keeps_every_source_end(self):
+        sources = [logs(300, edge=f"edge-{index}") for index in range(3)]
+        stage = IngestStage([iter(source) for source in sources], capacity=4)
+        delivered, ends = 0, []
+        for source, record in stage.events():
+            if record is None:
+                ends.append(source)
+            else:
+                time.sleep(0.0005)  # slow consumer forces the queue full
+                delivered += 1
+        stats = stage.stats.snapshot()
+        assert stats["queue_peak"] <= 4
+        assert stats["dropped"] > 0
+        assert delivered + stats["dropped"] == 900
+        assert sorted(ends) == [0, 1, 2]
+
     def test_worker_error_propagates_after_drain(self):
         def failing():
             yield from logs(5)
@@ -92,11 +95,10 @@ class TestIngestStage:
 
         stage = IngestStage([failing()])
         consumed = []
-        with pytest.raises(RuntimeError, match="ingest source failed") as info:
+        with pytest.raises(OSError, match="socket reset"):
             for record in stage.records():
                 consumed.append(record)
         assert len(consumed) == 5  # queued records drain before the raise
-        assert isinstance(info.value.__cause__, OSError)
 
     def test_consuming_twice_is_an_error(self):
         stage = IngestStage([iter(logs(1))])
@@ -107,15 +109,8 @@ class TestIngestStage:
     def test_validation(self):
         with pytest.raises(ValueError):
             IngestStage([], capacity=0)
-        with pytest.raises(ValueError):
-            IngestStage([], policy="spill")
-        with pytest.raises(ValueError):
-            IngestStage([], workers=0)
-
-    def test_workers_never_exceed_sources(self):
-        stage = IngestStage([iter(logs(2))], workers=8)
-        assert stage.workers == 1
-        assert list(stage.records()) == logs(2)
+        with pytest.raises(ValueError, match="queue_policy"):
+            StreamService(StreamConfig(queue_policy="spill")).run([])
 
 
 class TestSources:

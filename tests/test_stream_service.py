@@ -293,9 +293,9 @@ class TestRunStreamValidation:
 
 
 class TestIngestPath:
-    """One rule picks the ingest path for every input: the queue and
-    its threads run only at ``ingest_workers > 1`` or under the drop
-    policy; otherwise the single source replays on the calling thread."""
+    """Every source is read on the consuming thread; only the drop
+    policy puts the shedding queue and its one reader thread in
+    between."""
 
     @pytest.fixture
     def logs_dir(self, tmp_path):
@@ -312,36 +312,70 @@ class TestIngestPath:
     def test_one_worker_directory_replays_without_the_queue(
         self, logs_dir, monkeypatch
     ):
+        import threading
+
+        from repro.stream.ingest import IngestStage
+
         root, records = logs_dir
         kwargs = dict(window_s=60.0, detect_periods=False, predict_urls=False)
-        queued = [
-            run_stream(logs_dir=root, ingest_workers=2, **kwargs),
-            run_stream(logs_dir=root, queue_policy="drop", **kwargs),
-        ]
-        assert all(result.ingest is not None for result in queued)
+        stages, threads = [], []
 
-        def no_queue(*args, **kwargs):
-            raise AssertionError("a one-worker block run built the queue")
+        def recorded_stage(*args, **kwargs):
+            stages.append(IngestStage(*args, **kwargs))
+            return stages[-1]
 
-        monkeypatch.setattr("repro.stream.service.IngestStage", no_queue)
-        replayed = run_stream(logs_dir=root, **kwargs)
-        assert replayed.ingest is None
-        assert replayed.records_windowed == records
-        assert replayed.sealed_windows > 1
-        for result in queued:
-            assert result.snapshots == replayed.snapshots
+        start = threading.Thread.start
+
+        def recorded_start(thread):
+            threads.append(thread)
+            start(thread)
+
+        monkeypatch.setattr("repro.stream.service.IngestStage", recorded_stage)
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        blocked = run_stream(logs_dir=root, **kwargs)
+        assert stages == [] and threads == []
+        assert blocked.ingest is None
+        assert blocked.records_windowed == records
+        assert blocked.sealed_windows > 1
+
+        dropped = run_stream(logs_dir=root, queue_policy="drop", **kwargs)
+        assert len(stages) == len(threads) == 1
+        assert dropped.ingest is stages[0].stats
+        assert dropped.ingest.sources == 3
+        assert dropped.ingest.dropped == 0
+        assert dropped.snapshots == blocked.snapshots
+
+    def test_block_runs_start_no_thread(self, logs_dir, tmp_path, monkeypatch):
+        import threading
+
+        root, records = logs_dir
+
+        def no_thread(thread):
+            raise AssertionError("a block-policy stream started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        result = run_stream(
+            logs_dir=root, window_s=60.0, detect_periods=False,
+            predict_urls=False,
+        )
+        assert result.records_windowed == records
+        out = tmp_path / "emit.jsonl"
+        assert main(
+            ["stream", "--logs-dir", root, "--window", "60",
+             "--no-periods", "--no-predictions", "--ingest-workers", "2",
+             "--emit", str(out)]
+        ) == 0
+        assert out.read_text().count("\n") == result.sealed_windows
 
     def test_failed_source_ends_a_replay_as_on_the_queue(self):
         from repro.stream.ingest import IngestError
 
         records = minute_logs(120)
         errors = []
-        for run in (
-            lambda service: service.replay(FailAfter(records, after=60)),
-            lambda service: service.run([FailAfter(records, after=60)]),
-        ):
+        for policy in ("block", "drop"):
+            service = StreamService(fast_config(queue_policy=policy))
             with pytest.raises(IngestError) as caught:
-                run(StreamService(fast_config()))
+                service.replay(FailAfter(records, after=60))
             assert isinstance(caught.value.__cause__, OSError)
             errors.append(str(caught.value))
         assert errors[0] == errors[1] == "ingest source failed: OSError: killed"
@@ -360,3 +394,40 @@ class TestIngestPath:
                 emit=FullDisk(io.StringIO()),
             )
         assert type(caught.value) is OSError
+
+    def test_failure_while_sealing_stops_the_drop_reader(self, monkeypatch):
+        import itertools
+        import threading
+
+        class FullDisk(JsonlEmitter):
+            def emit(self, snapshot):
+                raise OSError("no space left")
+
+        def endless():
+            for index in itertools.count():
+                yield make_log(timestamp=BASE_TS + index)
+
+        threads = []
+        start = threading.Thread.start
+
+        def recorded_start(thread):
+            threads.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        # ``caught`` keeps the failed run's frames alive: the reader
+        # must stop without waiting for them to be collected.
+        with pytest.raises(OSError, match="no space left") as caught:
+            run_stream(
+                endless(),
+                window_s=60.0,
+                detect_periods=False,
+                predict_urls=False,
+                queue_policy="drop",
+                queue_capacity=16,
+                emit=FullDisk(io.StringIO()),
+            )
+        assert len(threads) == 1
+        threads[0].join(timeout=5.0)
+        assert not threads[0].is_alive()
+        assert caught.value.__traceback__ is not None
