@@ -400,7 +400,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 def _cmd_patterns(args: argparse.Namespace) -> int:
     from .core.pipeline import run_pattern_analysis
-    from .periodicity.detector import DetectorConfig
+    from .periodicity.config import DetectorConfig
 
     logs, _, logs_dir = _analysis_inputs(args)
     report = run_pattern_analysis(
@@ -415,7 +415,7 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
 
 def _cmd_periodicity(args: argparse.Namespace) -> int:
     from .core.pipeline import render_periodicity, run_periodicity
-    from .periodicity.detector import DetectorConfig
+    from .periodicity.config import DetectorConfig
 
     logs, _, logs_dir = _analysis_inputs(args)
     report = run_periodicity(
@@ -469,7 +469,7 @@ def _cmd_trend(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     from .core.pipeline import run_stream
     from .core.report import render_table
-    from .periodicity.detector import DetectorConfig
+    from .periodicity.config import DetectorConfig
     from .logs.io import read_logs, tail_records
     from .stream import JsonlEmitter, stdin_source
 

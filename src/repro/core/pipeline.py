@@ -57,7 +57,7 @@ if TYPE_CHECKING:
     from ..logs.record import RequestLog
     from ..logs.summary import DatasetSummary
     from ..ngram.evaluate import AccuracyResult
-    from ..periodicity.detector import DetectorConfig
+    from ..periodicity.config import DetectorConfig
     from ..periodicity.flows import FlowFilter
     from ..periodicity.results import PeriodicityReport
     from ..useragent.appid import AppUsageReport

@@ -27,13 +27,13 @@ shards ever produce the same key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..logs.record import RequestLog
 from ..periodicity.flows import ClientObjectFlow, FlowFilter, ObjectFlow
-from ..periodicity.results import ObjectPeriodicity
+
+if TYPE_CHECKING:
+    from ..periodicity.results import ObjectPeriodicity
 
 __all__ = ["FlowCollectionState", "PeriodicityDetectionState"]
 
@@ -111,28 +111,44 @@ class FlowCollectionState:
         tallies) as ``extract_flows`` over the unsplit record stream;
         objects and client flows come out in sorted-id order, which
         is the canonical ordering for the parallel path.
+
+        Both filters run on the raw lists first, so a timestamp array
+        is built only for a client flow that ends up in the result,
+        and numpy loads only when one does.
         """
         criteria = self.flow_filter
-        objects: Dict[str, ObjectFlow] = {}
-        for object_id, client_id in sorted(self._raw):
-            raw = self._raw[(object_id, client_id)]
-            if len(raw.timestamps) < criteria.min_requests_per_client_flow:
-                continue
-            flow = ClientObjectFlow(
-                object_id=object_id,
-                client_id=client_id,
-                timestamps=np.sort(np.asarray(raw.timestamps, dtype=np.float64)),
-                upload_count=raw.upload_count,
-                uncacheable_count=raw.uncacheable_count,
-            )
-            objects.setdefault(object_id, ObjectFlow(object_id)).client_flows[
-                client_id
-            ] = flow
-        return {
-            object_id: flow
-            for object_id, flow in objects.items()
-            if flow.client_count >= criteria.min_clients_per_object_flow
+        clients: Dict[str, List[str]] = {}
+        for object_id, client_id in sorted(
+            key
+            for key, raw in self._raw.items()
+            if len(raw.timestamps) >= criteria.min_requests_per_client_flow
+        ):
+            clients.setdefault(object_id, []).append(client_id)
+        kept = {
+            object_id: client_ids
+            for object_id, client_ids in clients.items()
+            if len(client_ids) >= criteria.min_clients_per_object_flow
         }
+        if not kept:
+            return {}
+
+        import numpy as np
+
+        objects: Dict[str, ObjectFlow] = {}
+        for object_id, client_ids in kept.items():
+            flow = objects[object_id] = ObjectFlow(object_id)
+            for client_id in client_ids:
+                raw = self._raw[(object_id, client_id)]
+                flow.client_flows[client_id] = ClientObjectFlow(
+                    object_id=object_id,
+                    client_id=client_id,
+                    timestamps=np.sort(
+                        np.asarray(raw.timestamps, dtype=np.float64)
+                    ),
+                    upload_count=raw.upload_count,
+                    uncacheable_count=raw.uncacheable_count,
+                )
+        return objects
 
     def canonical(self):
         """Order-independent value for merge-property comparisons."""

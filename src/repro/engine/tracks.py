@@ -41,7 +41,7 @@ from .options import EngineOptions
 if TYPE_CHECKING:
     from ..logs.record import RequestLog
     from ..ngram.evaluate import AccuracyResult
-    from ..periodicity.detector import DetectorConfig
+    from ..periodicity.config import DetectorConfig
     from ..periodicity.flows import FlowFilter
     from ..periodicity.results import PeriodicityReport
     from .flowstate import FlowCollectionState

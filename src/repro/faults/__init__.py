@@ -20,7 +20,7 @@ else.  Plans are installed per run (``run_shards(..., faults=plan)``,
 pickled argument — never ambiently.
 """
 
-from .plan import FAULT_SITES, FaultPlan, FaultRule, InjectedFault
+from .._lazy import lazy_exports
 from . import runtime
 
 __all__ = [
@@ -30,3 +30,7 @@ __all__ = [
     "InjectedFault",
     "runtime",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".plan": ("FAULT_SITES", "FaultPlan", "FaultRule", "InjectedFault"),
+})

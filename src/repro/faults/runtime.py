@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import ContextManager, Iterator, Optional
+from typing import TYPE_CHECKING, ContextManager, Iterator, Optional
 
 from .._ambient import swapped
-from .plan import FaultPlan, FaultRule
+
+if TYPE_CHECKING:
+    from .plan import FaultPlan, FaultRule
 
 __all__ = [
     "active",

@@ -238,10 +238,10 @@ def decode_lines(
 ) -> Iterator[RequestLog]:
     """Decode numbered log lines into records: every reader's one loop.
 
-    A line is UTF-8 bytes (files, tails) or text (stdin, which Python
-    decodes before the program reads it); bytes that are not UTF-8
-    make the line malformed.  Blank lines are ignored.  A line that
-    fails to decode raises
+    A line is UTF-8 bytes (files, tails, stdin) or text (a stream a
+    caller decoded already); bytes that are not UTF-8 make the line
+    malformed.  Blank lines are ignored.  A line that fails to decode
+    raises
     ``ValueError("<source>: malformed <FORMAT> record on line N: …")``
     with ``on_error="raise"``; with ``"skip"`` (the quarantine
     posture: torn writes and partial flushes are dropped, as log

@@ -34,7 +34,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".autocorr": (
         "acf_local_peak", "acf_peak", "autocorrelation", "bin_series",
     ),
-    ".detector": ("DetectedPeriod", "DetectorConfig", "PeriodDetector"),
+    ".config": ("DetectorConfig",),
+    ".detector": ("DetectedPeriod", "PeriodDetector"),
     ".multiperiod": ("MultiPeriodDetector", "PeriodComponent"),
     ".phase": ("PhaseProfile", "object_phase_profile", "phase_coherence"),
     ".flows": (

@@ -17,11 +17,12 @@ is 56.2% uncacheable and 78% upload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..logs.record import RequestLog
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ClientObjectFlow", "ObjectFlow", "FlowFilter", "extract_flows"]
 
@@ -64,6 +65,8 @@ class ObjectFlow:
 
     def merged_timestamps(self) -> np.ndarray:
         """All clients' timestamps merged and sorted (the object flow)."""
+        import numpy as np
+
         if not self.client_flows:
             return np.empty(0)
         return np.sort(
@@ -94,6 +97,8 @@ def extract_flows(
     applied, mirroring the paper's order (a client that touched an
     object twice does not make the object "popular").
     """
+    import numpy as np
+
     criteria = flow_filter or FlowFilter()
     raw: Dict[Tuple[str, str], List[float]] = {}
     uploads: Dict[Tuple[str, str], int] = {}

@@ -14,13 +14,14 @@ period (the paper's rule), and aggregates:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..logs.record import RequestLog
-from .detector import DetectedPeriod, DetectorConfig, PeriodDetector
 from .flows import FlowFilter, ObjectFlow, extract_flows
+
+if TYPE_CHECKING:
+    from .config import DetectorConfig
+    from .detector import DetectedPeriod, PeriodDetector
 
 __all__ = [
     "ObjectPeriodicity",
@@ -203,6 +204,13 @@ def _client_consensus(
     return representative
 
 
+def _new_detector(config: Optional[DetectorConfig] = None) -> PeriodDetector:
+    """A detector; its module (and numpy) loads on the first call."""
+    from .detector import PeriodDetector
+
+    return PeriodDetector(config)
+
+
 def analyze_object_flow(
     flow: ObjectFlow,
     detector: Optional[PeriodDetector] = None,
@@ -222,7 +230,7 @@ def analyze_object_flow(
     flows in a different client order than the serial pass) produces
     an identical outcome.
     """
-    detector = detector or PeriodDetector()
+    detector = detector or _new_detector()
     outcome = ObjectPeriodicity(
         object_id=flow.object_id,
         object_period=detector.detect(flow.merged_timestamps()),
@@ -277,7 +285,8 @@ def analyze_flows(
     match_tolerance: float = 0.10,
 ) -> PeriodicityReport:
     """Run period detection over pre-extracted flows."""
-    detector = detector or PeriodDetector()
+    if detector is None and flows:
+        detector = _new_detector()
     objects: Dict[str, ObjectPeriodicity] = {
         object_id: analyze_object_flow(
             flow, detector=detector, match_tolerance=match_tolerance
@@ -303,7 +312,7 @@ def analyze_logs(
     materialized = list(logs)
     total_json = sum(1 for record in materialized if record.is_json)
     flows = extract_flows(materialized, flow_filter)
-    detector = PeriodDetector(detector_config) if detector_config else None
+    detector = _new_detector(detector_config) if detector_config else None
     return analyze_flows(
         flows, total_json, detector=detector, match_tolerance=match_tolerance
     )

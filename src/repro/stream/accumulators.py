@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 from ..engine.tracks import ALL_TRACKS, TrackState, detect_periods, evaluate_ngram
 
 if TYPE_CHECKING:
-    from ..periodicity.detector import DetectorConfig
+    from ..periodicity.config import DetectorConfig
     from ..periodicity.flows import FlowFilter
     from ..periodicity.results import PeriodicityReport
 

@@ -41,7 +41,7 @@ from ..logs.merge import merge_events
 from ..logs.record import RequestLog
 from ..obs import runtime as obs_runtime
 from ..obs.spans import span
-from ..periodicity.detector import DetectorConfig
+from ..periodicity.config import DetectorConfig
 from ..periodicity.flows import FlowFilter
 from .accumulators import ALL_TRACKS, WindowAccumulator
 from .ingest import IngestStage, IngestStats, source_failed, stall_hooks

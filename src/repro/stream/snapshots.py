@@ -24,12 +24,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..analysis.drift import compare_metrics
-from ..periodicity.detector import DetectorConfig, PeriodDetector
-from ..periodicity.results import analyze_flows
+from ..periodicity.config import DetectorConfig
 from .accumulators import WindowAccumulator
+
+if TYPE_CHECKING:
+    from ..engine.flowstate import FlowCollectionState
 
 __all__ = ["WindowSnapshot", "SnapshotBuilder", "JsonlEmitter"]
 
@@ -182,24 +184,7 @@ class SnapshotBuilder:
                 snapshot.mean_json_bytes = json_sizes.mean
                 snapshot.p50_json_bytes = json_sizes.percentile(50)
         if self.detect_periods and accumulator.flows is not None:
-            detector = (
-                PeriodDetector(self.detector_config)
-                if self.detector_config
-                else None
-            )
-            report = analyze_flows(
-                accumulator.flows.finalize(),
-                accumulator.flows.total_json_requests,
-                detector=detector,
-                match_tolerance=self.match_tolerance,
-            )
-            snapshot.detected_periods = sorted(
-                round(period, 3) for period in report.object_periods()
-            )
-            snapshot.periodic_objects = len(snapshot.detected_periods)
-            snapshot.periodic_request_fraction = (
-                report.periodic_request_fraction
-            )
+            self._detect_periods(snapshot, accumulator.flows)
         if self.predict_urls and accumulator.ngrams is not None:
             snapshot.top_predicted = self._predict(accumulator)
         metrics = snapshot.metrics
@@ -221,6 +206,33 @@ class SnapshotBuilder:
             }
         self._previous_metrics = metrics
         return snapshot
+
+    def _detect_periods(
+        self, snapshot: WindowSnapshot, state: FlowCollectionState
+    ) -> None:
+        """§5.1 over the window's flows, into ``snapshot``.
+
+        A window with no flow past both filters has no periods and
+        keeps the snapshot's defaults, so only a window that holds
+        such a flow loads the detector (and numpy).
+        """
+        flows = state.finalize()
+        if not flows:
+            return
+        from ..periodicity.detector import PeriodDetector
+        from ..periodicity.results import analyze_flows
+
+        report = analyze_flows(
+            flows,
+            state.total_json_requests,
+            detector=PeriodDetector(self.detector_config),
+            match_tolerance=self.match_tolerance,
+        )
+        snapshot.detected_periods = sorted(
+            round(period, 3) for period in report.object_periods()
+        )
+        snapshot.periodic_objects = len(snapshot.detected_periods)
+        snapshot.periodic_request_fraction = report.periodic_request_fraction
 
     def _predict(self, accumulator: WindowAccumulator) -> List[str]:
         """Top-K next URLs from a model fit on the window's sequences.

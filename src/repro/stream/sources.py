@@ -13,7 +13,7 @@ each in the lenient posture (malformed lines are dropped and counted in
 from __future__ import annotations
 
 import sys
-from typing import IO, Iterator, Optional
+from typing import IO, Iterator, Optional, Union
 
 from ..logs.io import decode_lines
 from ..logs.record import RequestLog
@@ -22,8 +22,14 @@ __all__ = ["stdin_source"]
 
 
 def stdin_source(
-    stream: Optional[IO[str]] = None, on_error: str = "skip"
+    stream: Optional[Union[IO[bytes], IO[str]]] = None, on_error: str = "skip"
 ) -> Iterator[RequestLog]:
-    """Parse JSONL records from a text stream (default ``sys.stdin``)."""
-    handle = stream if stream is not None else sys.stdin
+    """Parse JSONL records from a stream (default: stdin's bytes).
+
+    stdin is read as bytes, like a file, so a line holding a byte
+    that is not UTF-8 is one malformed line rather than a record
+    carrying a lone surrogate.  A text stream passed in is decoded
+    by its own encoding.
+    """
+    handle = stream if stream is not None else sys.stdin.buffer
     return decode_lines(enumerate(handle, start=1), "stdin", "jsonl", on_error)

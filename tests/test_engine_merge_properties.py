@@ -24,10 +24,12 @@ import pytest
 from repro.engine.flowstate import FlowCollectionState, PeriodicityDetectionState
 from repro.engine.ngramstate import NgramEvalState, NgramSequenceState
 from repro.engine.state import CharacterizationState
-from repro.periodicity.flows import FlowFilter
+from repro.logs.record import CacheStatus, HttpMethod
+from repro.periodicity.flows import FlowFilter, extract_flows
 from repro.periodicity.results import ObjectPeriodicity
 from repro.ngram.model import BackoffNgramModel
 from repro.synth.workload import WorkloadBuilder, short_term_config
+from tests.conftest import make_log
 
 TRIALS = 20
 
@@ -181,6 +183,91 @@ class TestFlowCollectionAlgebra(RecordAlgebra):
         strict = FlowCollectionState(FlowFilter(min_requests_per_client_flow=99))
         with pytest.raises(ValueError, match="different filters"):
             FlowCollectionState().merge(strict)
+
+
+def planted(url, clients, requests):
+    """``requests`` JSON requests to ``url`` from each of ``clients``."""
+    return [
+        make_log(
+            url=url,
+            client_ip_hash=f"{client:016x}",
+            timestamp=1_559_347_200.0 + 7.0 * request + 0.25 * client,
+            method=HttpMethod.POST if request % 3 else HttpMethod.GET,
+            cache_status=(
+                CacheStatus.NO_STORE if request % 2 else CacheStatus.HIT
+            ),
+        )
+        for client in range(clients)
+        for request in range(requests)
+    ]
+
+
+def flow_values(flows):
+    """Contents of a flow map: per object, per client, the sorted
+    timestamps and both tallies."""
+    return {
+        object_id: {
+            client_id: (
+                client_flow.timestamps.dtype.name,
+                client_flow.timestamps.tolist(),
+                client_flow.upload_count,
+                client_flow.uncacheable_count,
+            )
+            for client_id, client_flow in flow.client_flows.items()
+        }
+        for object_id, flow in flows.items()
+    }
+
+
+class TestFlowFinalizeFilters:
+    """finalize() applies both §5.1 filters before it builds a flow."""
+
+    def test_object_below_client_count_builds_no_flow(self, monkeypatch):
+        # Nine clients of ten requests each: every client flow passes
+        # the per-client threshold, the object fails the client count.
+        state = FlowCollectionState().update(planted("/api/nine", 9, 10))
+
+        def no_flow(**_):
+            raise AssertionError("built a flow for a filtered-out object")
+
+        monkeypatch.setattr(
+            "repro.engine.flowstate.ClientObjectFlow", no_flow
+        )
+        assert state.finalize() == {}
+
+    def test_object_at_client_count_is_kept(self):
+        records = (
+            planted("/api/ten", 10, 10)
+            + planted("/api/nine", 9, 10)
+            + planted("/api/short", 10, 9)
+        )
+        flows = FlowCollectionState().update(records).finalize()
+        kept = make_log(url="/api/ten").object_id
+        assert list(flows) == [kept]
+        assert flows[kept].client_count == 10
+        assert flows[kept].request_count == 100
+
+    def test_finalize_equals_extract_flows_under_random_splits(self, records):
+        rng = random.Random(707)
+        items = (
+            list(records)
+            + planted("/api/ten", 10, 10)
+            + planted("/api/nine", 9, 12)
+            + planted("/api/short", 12, 9)
+        )
+        rng.shuffle(items)
+        expected = flow_values(extract_flows(items))
+        assert len(expected) >= 2
+        for _ in range(TRIALS):
+            merged = FlowCollectionState()
+            for part in random_split(items, rng, rng.randrange(1, 6)):
+                merged = merged.merge(FlowCollectionState().update(part))
+            flows = merged.finalize()
+            assert flow_values(flows) == expected
+            # The canonical order: objects, then clients, by sorted id.
+            assert list(flows) == sorted(flows)
+            for flow in flows.values():
+                assert list(flow.client_flows) == sorted(flow.client_flows)
 
 
 class TestNgramSequenceAlgebra(RecordAlgebra):

@@ -9,7 +9,10 @@ run fresh interpreters and read their ``sys.modules``:
   loads neither numpy nor the traffic generator, and the serial run
   loads no pool machinery (``concurrent.futures``, ``multiprocessing``);
 * ``stream --logs-dir`` loads neither the generator nor the CDN
-  simulator nor anomaly detection.
+  simulator nor anomaly detection, and a stream whose windows hold no
+  flow past both §5.1 filters loads neither numpy nor the period
+  detector nor the fault plan;
+* each command loads at most its budget of ``repro`` modules.
 
 The lazy package ``__init__``s must still expose every public name
 exactly as eager imports did.
@@ -27,6 +30,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.logs.io import write_logs
+from tests.conftest import make_log
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
@@ -37,6 +42,7 @@ LAZY_PACKAGES = [
     "repro.cdn",
     "repro.core",
     "repro.engine",
+    "repro.faults",
     "repro.logs",
     "repro.ngram",
     "repro.periodicity",
@@ -140,6 +146,64 @@ class TestFreshProcessImports:
             modules, ["multiprocessing", "concurrent.futures"]
         ) == []
 
+    def test_stream_without_flows_skips_numpy_and_the_detector(
+        self, logs_dir
+    ):
+        modules = run_cli(
+            ["stream", "--logs-dir", logs_dir, "--window", "120",
+             "--permutations", "5"]
+        )
+        assert "repro.engine.flowstate" in modules
+        assert loaded_packages(
+            modules,
+            ["numpy", "repro.periodicity.detector",
+             "repro.periodicity.results", "repro.faults.plan"],
+        ) == []
+
+    def test_stream_loads_the_detector_for_a_periodic_flow(self, tmp_path):
+        # Twelve clients poll one object every 30 s: one window holds
+        # a flow past both filters, and detection must still run.
+        records = [
+            make_log(
+                url="/api/poll",
+                client_ip_hash=f"{client:016x}",
+                timestamp=1_559_347_200.0 + 3.0 * client + 30.0 * poll,
+            )
+            for poll in range(40)
+            for client in range(12)
+        ]
+        logs, emit = tmp_path / "poll.jsonl", tmp_path / "emit.jsonl"
+        write_logs(records, logs)
+        modules = loaded_modules(
+            "import contextlib, io, json\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['stream', '--logs', {str(logs)!r},\n"
+            "                 '--window', '1800', '--permutations', '5',\n"
+            f"                 '--emit', {str(emit)!r}]) == 0\n"
+        )
+        assert {"numpy", "repro.periodicity.detector"} <= modules
+        windows = [json.loads(line) for line in emit.read_text().splitlines()]
+        assert [window["detected_periods"] for window in windows] == [[30.0]]
+
+    @pytest.mark.parametrize("argv,budget", [
+        (["characterize", "--logs-dir", "{logs}"], 39),
+        (["characterize", "--logs-dir", "{logs}", "--workers", "2"], 39),
+        (["periodicity", "--logs-dir", "{logs}", "--permutations", "5"], 34),
+        (["ngram", "--logs-dir", "{logs}"], 32),
+        (["patterns", "--logs-dir", "{logs}", "--permutations", "5"], 40),
+        (["stream", "--logs-dir", "{logs}", "--window", "120",
+          "--permutations", "5"], 54),
+    ], ids=["characterize", "characterize-x2", "periodicity", "ngram",
+            "patterns", "stream"])
+    def test_repro_module_budget(self, logs_dir, argv, budget):
+        # Each module a command loads is compiled or read from bytecode
+        # on every run; a new import on a command's path must be a
+        # decision.
+        modules = run_cli([arg.format(logs=logs_dir) for arg in argv])
+        loaded = sorted(m for m in modules if m.startswith("repro"))
+        assert len(loaded) <= budget, loaded
+
     def test_stream_skips_synth_cdn_and_anomaly(self, logs_dir):
         modules = run_cli(
             ["stream", "--logs-dir", logs_dir, "--window", "120",
@@ -197,6 +261,15 @@ class TestPublicNames:
             "import repro\n"
             "assert repro.core.stats.percentile([1, 3], 50) == 2.0\n"
         )
+
+    def test_detector_config_is_one_class(self):
+        # Configs pickled before the class moved name the detector
+        # module; they must load as the same class.
+        from repro.periodicity import DetectorConfig
+        from repro.periodicity.config import DetectorConfig as home
+        from repro.periodicity.detector import DetectorConfig as reexport
+
+        assert DetectorConfig is home is reexport
 
     def test_pickles_by_qualified_name(self):
         loaded_modules(

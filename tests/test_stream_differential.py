@@ -2,8 +2,8 @@
 
 The stream service's headline guarantee mirrors the engine's: replay
 a dataset through event-time windows — even shuffled within a bounded
-disorder budget, even through the threaded multi-source ingest queue —
-and merging every sealed window's accumulator reproduces the batch
+disorder budget, even from a partitioned directory read as one source
+per edge through the k-way merge — and merging every sealed window's accumulator reproduces the batch
 pipelines *identically*, not approximately.  These tests replay one
 seeded workload at two window sizes and compare characterization,
 periodicity and ngram outputs field by field against the serial batch
@@ -12,8 +12,8 @@ references.
 Window size must not matter because window accumulators are the
 engine's mergeable states and merge is associative; disorder must not
 matter because window assignment is a pure function of the event
-timestamp; the ingest queue must not matter because per-source
-watermark frontiers keep interleaving from dropping records.
+timestamp; the per-edge sources must not matter because per-source
+watermark frontiers keep their interleaving from dropping records.
 """
 
 from __future__ import annotations

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import time
 
 import pytest
 
+from repro.cli import main
 from repro.logs.io import read_logs, write_logs
 from repro.logs.partition import (
     edge_streams,
@@ -161,3 +163,28 @@ class TestSources:
         stream = io.StringIO("not json\n")
         with pytest.raises(ValueError, match="line 1"):
             list(stdin_source(stream, on_error="raise"))
+
+    def test_stdin_windows_what_the_file_reader_windows(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A line holding a byte that is not UTF-8 is skipped by both
+        # readers; a stdin decoded as text would window it with a lone
+        # surrogate in its url.
+        lines = [json.dumps(r.to_dict()).encode() for r in logs(30, step=10.0)]
+        lines[7] = lines[7].replace(b"/api/v1/home", b"/api/v1/\xffhome")
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        common = ["--window", "60", "--no-periods", "--no-predictions"]
+        file_out, stdin_out = tmp_path / "file.jsonl", tmp_path / "stdin.jsonl"
+        assert main(
+            ["stream", "--logs", str(path), *common, "--emit", str(file_out)]
+        ) == 0
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(path.read_bytes()), errors="surrogateescape"
+        ))
+        assert main(
+            ["stream", "--stdin", *common, "--emit", str(stdin_out)]
+        ) == 0
+        assert stdin_out.read_bytes() == file_out.read_bytes()
+        windows = [json.loads(line) for line in stdin_out.read_text().splitlines()]
+        assert sum(window["records"] for window in windows) == 29
