@@ -67,7 +67,6 @@ from typing import (
     Tuple,
 )
 
-from ..faults import FaultPlan, InjectedFault
 from ..faults import runtime as fault_runtime
 from ..obs import runtime as obs_runtime
 from ..obs.registry import MetricsRegistry
@@ -75,6 +74,7 @@ from ..obs.spans import span
 from .shard import Shard
 
 if TYPE_CHECKING:
+    from ..faults import FaultPlan
     from .checkpoint import CheckpointStore
 
 __all__ = [
@@ -210,8 +210,12 @@ def _fire_map_faults(shard_id: str) -> None:
             os._exit(13)
         # Thread/serial backends have no process to kill; degrade to a
         # raised fault so the plan stays meaningful on every backend.
+        from ..faults import InjectedFault
+
         raise InjectedFault(f"injected worker death on shard {shard_id!r}")
     if fault_runtime.should_fire("map.exception", shard_id) is not None:
+        from ..faults import InjectedFault
+
         raise InjectedFault(f"injected map exception on shard {shard_id!r}")
 
 

@@ -10,16 +10,18 @@ collecting from Akamai edge servers (§3.1):
 * select HTTP request/response header information, including
   user-agent, mime type, and object URL.
 
-The record is deliberately a plain frozen dataclass: logs are produced
-in bulk (millions of rows) and consumed by streaming analysis code, so
-records must be cheap, hashable, and serialization-friendly.
+The record is deliberately a plain frozen, slotted dataclass: logs are
+produced in bulk (millions of rows) and consumed by streaming analysis
+code, so records must be cheap, small, hashable, and
+serialization-friendly.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "CacheStatus",
@@ -74,7 +76,7 @@ class CacheStatus(str, enum.Enum):
         return self is not CacheStatus.NO_STORE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestLog:
     """One edge-server request log line.
 
@@ -222,12 +224,17 @@ class RequestLog:
         field a known value, else ``ValueError`` names the field.
         Unknown keys are ignored; a missing optional field takes its
         default, a missing required one is an error.
+
+        Once a field passes, it goes straight into its slot: the
+        constructor's ``__post_init__`` enum coercions have nothing
+        left to do, and its one other rule, an empty user agent read
+        as ``None``, is applied here.
         """
-        if not isinstance(data, Mapping):
+        if type(data) is not dict and not isinstance(data, Mapping):
             raise ValueError(f"expected a JSON object, got {data!r:.40}")
         get = data.get
-        values = []
-        for name, types, expected, default, members in _CONTRACT:
+        record = _new_record(cls)
+        for name, types, expected, default, members, set_slot in _CONTRACT:
             value = get(name, default)
             if type(value) not in types:
                 if value is _REQUIRED:
@@ -242,8 +249,19 @@ class RequestLog:
                         f"field {name!r} has unknown value {value!r:.40}"
                     )
                 value = member
-            values.append(value)
-        return cls(*values)
+            set_slot(record, value)
+        if record.user_agent == "":
+            _set_user_agent(record, None)
+        return record
+
+    # Pickle a record as the tuple of its field values; the dataclass
+    # default walks ``fields()`` on every record.
+    def __getstate__(self) -> Tuple[Any, ...]:
+        return _field_values(self)
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        for set_slot, value in zip(_SLOT_SETTERS, state):
+            set_slot(self, value)
 
     def with_fields(self, **changes: Any) -> "RequestLog":
         """Return a copy with the given fields replaced."""
@@ -286,16 +304,25 @@ _ENUM_MEMBERS = {
     "cache_status": {member.value: member for member in CacheStatus},
 }
 
-#: ``(name, accepted types, expected, JSON default, enum members)`` per
-#: field in constructor order: :meth:`RequestLog.from_dict`'s contract,
-#: built once rather than per record.
-_CONTRACT: Tuple[Tuple[str, tuple, str, Any, Optional[dict]], ...] = tuple(
+#: ``(name, accepted types, expected, JSON default, enum members, slot
+#: setter)`` per field in constructor order: :meth:`RequestLog.from_dict`'s
+#: contract, built once rather than per record.  The slot setter writes
+#: past the frozen ``__setattr__``.
+_CONTRACT: Tuple[
+    Tuple[str, tuple, str, Any, Optional[dict], Callable[[Any, Any], None]], ...
+] = tuple(
     (
         spec.name,
         *_JSON_TYPES.get(spec.name, _TEXT),
         _REQUIRED if spec.default is MISSING
         else getattr(spec.default, "value", spec.default),
         _ENUM_MEMBERS.get(spec.name),
+        getattr(RequestLog, spec.name).__set__,
     )
     for spec in fields(RequestLog)
 )
+
+_new_record = object.__new__
+_set_user_agent = RequestLog.user_agent.__set__
+_SLOT_SETTERS = tuple(spec[-1] for spec in _CONTRACT)
+_field_values = operator.attrgetter(*(spec[0] for spec in _CONTRACT))

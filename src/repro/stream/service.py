@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple,
+)
 
-from ..engine.checkpoint import CheckpointError, CheckpointStore
 from ..logs.merge import merge_events
 from ..logs.record import RequestLog
 from ..obs import runtime as obs_runtime
@@ -47,6 +48,9 @@ from .accumulators import ALL_TRACKS, WindowAccumulator
 from .ingest import IngestStage, IngestStats, source_failed, stall_hooks
 from .snapshots import JsonlEmitter, SnapshotBuilder, WindowSnapshot
 from .windows import WindowBounds, WindowManager, WindowSpec
+
+if TYPE_CHECKING:
+    from ..engine.checkpoint import CheckpointStore
 
 __all__ = ["StreamConfig", "StreamResult", "StreamService", "window_id"]
 
@@ -135,6 +139,9 @@ class StreamService:
         self.store: Optional[CheckpointStore] = None
         self._presealed: List[WindowBounds] = []
         if self.config.checkpoint_dir is not None:
+            # Only a checkpointed run loads the store.
+            from ..engine.checkpoint import CheckpointStore
+
             self.store = CheckpointStore(
                 Path(self.config.checkpoint_dir) / _CHECKPOINT_SUBDIR
             )
@@ -214,6 +221,8 @@ class StreamService:
         """
         if self.store is None:
             return []
+        from ..engine.checkpoint import CheckpointError
+
         accumulators: List[WindowAccumulator] = []
         for shard_id in self.store.completed_ids():
             try:
@@ -293,6 +302,8 @@ class StreamService:
 
     @staticmethod
     def _load_sealed_bounds(store: CheckpointStore) -> List[WindowBounds]:
+        from ..engine.checkpoint import CheckpointError
+
         bounds: List[WindowBounds] = []
         for shard_id in store.completed_ids():
             try:

@@ -10,10 +10,20 @@ paper uses (§3.2):
   Characteristics (EDC) database [2]: platform/device tokens mapped to
   device characteristics, used to reduce misclassification from
   user-agent parsing alone.
+
+A device token matches a user agent case-insensitively where no ASCII
+letter or digit flanks it on either side (``axios`` holds no ``iOS``
+token).  :func:`lookup_device` checks an ASCII user agent with
+``str.find`` on its lowercased form; a user agent with any other
+character goes through word-bounded ``re.IGNORECASE`` patterns,
+compiled on first use, because ``re`` case-folds characters that
+``str.lower`` keeps (``ſ`` matches ``s``, the Kelvin sign ``k``) or
+lengthens (``İ``).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
@@ -199,6 +209,14 @@ def lookup_browser(product_names: Tuple[str, ...]) -> Optional[BrowserEntry]:
     return None
 
 
+_ALNUM = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
+
+#: ``(lowercased token, entry)`` in table order.
+_DEVICE_TOKENS: Tuple[Tuple[str, DeviceEntry], ...] = tuple(
+    (entry.token.lower(), entry) for entry in DEVICE_DATABASE
+)
+
+
 def _token_pattern(token: str) -> "re.Pattern[str]":
     """Word-bounded pattern for a device token.
 
@@ -211,14 +229,30 @@ def _token_pattern(token: str) -> "re.Pattern[str]":
     )
 
 
-_DEVICE_PATTERNS: Tuple[Tuple["re.Pattern[str]", DeviceEntry], ...] = tuple(
-    (_token_pattern(entry.token), entry) for entry in DEVICE_DATABASE
-)
+@functools.cache
+def _device_patterns() -> Tuple[Tuple["re.Pattern[str]", DeviceEntry], ...]:
+    """The table as word-bounded patterns, for non-ASCII user agents."""
+    return tuple((_token_pattern(entry.token), entry) for entry in DEVICE_DATABASE)
 
 
 def lookup_device(raw_user_agent: str) -> Optional[DeviceEntry]:
-    """Resolve device characteristics by most-specific token match."""
-    for pattern, entry in _DEVICE_PATTERNS:
-        if pattern.search(raw_user_agent):
-            return entry
+    """Resolve device characteristics by most-specific token match:
+    the first entry of :data:`DEVICE_DATABASE` whose token the user
+    agent holds, by the rule in the module docstring."""
+    if not raw_user_agent.isascii():
+        for pattern, entry in _device_patterns():
+            if pattern.search(raw_user_agent):
+                return entry
+        return None
+    text = raw_user_agent.lower()
+    end = len(text)
+    for token, entry in _DEVICE_TOKENS:
+        start = text.find(token)
+        while start >= 0:
+            stop = start + len(token)
+            if (start == 0 or text[start - 1] not in _ALNUM) and (
+                stop == end or text[stop] not in _ALNUM
+            ):
+                return entry
+            start = text.find(token, start + 1)
     return None

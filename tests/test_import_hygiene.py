@@ -6,12 +6,14 @@ run fresh interpreters and read their ``sys.modules``:
 
 * ``import repro.cli`` loads no analysis layer and no numpy;
 * ``characterize --logs-dir`` (the §4 path, serial and sharded)
-  loads neither numpy nor the traffic generator, and the serial run
-  loads no pool machinery (``concurrent.futures``, ``multiprocessing``);
+  loads neither numpy nor the traffic generator nor the fault plan
+  nor the checkpoint store, and the serial run loads no pool
+  machinery (``concurrent.futures``, ``multiprocessing``);
 * ``stream --logs-dir`` loads neither the generator nor the CDN
   simulator nor anomaly detection, and a stream whose windows hold no
   flow past both §5.1 filters loads neither numpy nor the period
-  detector nor the fault plan;
+  detector nor the fault plan, and one without ``--checkpoint-dir``
+  not the checkpoint store;
 * each command loads at most its budget of ``repro`` modules.
 
 The lazy package ``__init__``s must still expose every public name
@@ -137,6 +139,22 @@ class TestFreshProcessImports:
             ["numpy", "repro.synth", "repro.ngram", "repro.periodicity"],
         ) == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_characterize_skips_the_fault_plan_and_checkpoints(
+        self, logs_dir, workers
+    ):
+        # The executor names the plan only for type checkers and loads
+        # the fault types only to raise one; a run without
+        # --checkpoint-dir opens no store.
+        modules = run_cli(
+            ["characterize", "--logs-dir", logs_dir,
+             "--workers", str(workers)]
+        )
+        assert "repro.engine.executor" in modules
+        assert loaded_packages(
+            modules, ["repro.faults.plan", "repro.engine.checkpoint"]
+        ) == []
+
     def test_serial_characterize_skips_the_process_pool(self, logs_dir):
         # A serial run is the engine on its serial backend, which
         # imports neither multiprocessing nor any pool.
@@ -157,8 +175,18 @@ class TestFreshProcessImports:
         assert loaded_packages(
             modules,
             ["numpy", "repro.periodicity.detector",
-             "repro.periodicity.results", "repro.faults.plan"],
+             "repro.periodicity.results", "repro.faults.plan",
+             "repro.engine.checkpoint"],
         ) == []
+
+    def test_stream_loads_the_checkpoint_store_only_when_asked(
+        self, logs_dir, tmp_path
+    ):
+        modules = run_cli(
+            ["stream", "--logs-dir", logs_dir, "--window", "120",
+             "--permutations", "5", "--checkpoint-dir", str(tmp_path)]
+        )
+        assert "repro.engine.checkpoint" in modules
 
     def test_stream_loads_the_detector_for_a_periodic_flow(self, tmp_path):
         # Twelve clients poll one object every 30 s: one window holds
@@ -187,13 +215,13 @@ class TestFreshProcessImports:
         assert [window["detected_periods"] for window in windows] == [[30.0]]
 
     @pytest.mark.parametrize("argv,budget", [
-        (["characterize", "--logs-dir", "{logs}"], 39),
-        (["characterize", "--logs-dir", "{logs}", "--workers", "2"], 39),
-        (["periodicity", "--logs-dir", "{logs}", "--permutations", "5"], 34),
-        (["ngram", "--logs-dir", "{logs}"], 32),
-        (["patterns", "--logs-dir", "{logs}", "--permutations", "5"], 40),
+        (["characterize", "--logs-dir", "{logs}"], 38),
+        (["characterize", "--logs-dir", "{logs}", "--workers", "2"], 38),
+        (["periodicity", "--logs-dir", "{logs}", "--permutations", "5"], 33),
+        (["ngram", "--logs-dir", "{logs}"], 31),
+        (["patterns", "--logs-dir", "{logs}", "--permutations", "5"], 39),
         (["stream", "--logs-dir", "{logs}", "--window", "120",
-          "--permutations", "5"], 54),
+          "--permutations", "5"], 53),
     ], ids=["characterize", "characterize-x2", "periodicity", "ngram",
             "patterns", "stream"])
     def test_repro_module_budget(self, logs_dir, argv, budget):

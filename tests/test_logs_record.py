@@ -1,5 +1,10 @@
 """Unit tests for repro.logs.record."""
 
+import copy
+import dataclasses
+import pickle
+from types import MappingProxyType
+
 import pytest
 
 from repro.logs.record import (
@@ -147,3 +152,61 @@ class TestKeyHelpers:
 
     def test_client_key_distinguishes_ua(self):
         assert client_key("abcd", "x") != client_key("abcd", "y")
+
+
+class TestFromDictContract:
+    """``from_dict`` fills a slotted record straight from the checked
+    contract; it must be indistinguishable from a constructed one."""
+
+    def _pair(self, **changes):
+        record = make_log(**changes)
+        return RequestLog.from_dict(record.to_dict()), record
+
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"method": HttpMethod.POST, "request_bytes": 77},
+        {"user_agent": None, "cache_status": CacheStatus.NO_STORE,
+         "ttl_seconds": None},
+        {"timestamp": 1_559_347_200, "ttl_seconds": 60},
+    ])
+    def test_equals_the_constructed_record(self, changes):
+        built, constructed = self._pair(**changes)
+        assert type(built) is RequestLog
+        assert built == constructed
+        assert hash(built) == hash(constructed)
+        assert repr(built) == repr(constructed)
+        assert built.to_dict() == constructed.to_dict()
+
+    def test_survives_a_pickle_round_trip(self):
+        built, constructed = self._pair(user_agent=None)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(built, protocol))
+            assert restored == constructed
+            assert repr(restored) == repr(constructed)
+        assert copy.deepcopy(built) == constructed
+
+    def test_fields_are_frozen(self):
+        built, _ = self._pair()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.status = 500
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.user_agent = None
+
+    def test_records_hold_slots_not_a_dict(self):
+        built, constructed = self._pair()
+        assert not hasattr(built, "__dict__")
+        assert not hasattr(constructed, "__dict__")
+
+    def test_empty_user_agent_becomes_none(self):
+        data = make_log().to_dict()
+        data["user_agent"] = ""
+        assert RequestLog.from_dict(data).user_agent is None
+        assert make_log(user_agent="").user_agent is None
+
+    def test_accepts_a_mapping_that_is_not_a_dict(self):
+        data = make_log().to_dict()
+        assert RequestLog.from_dict(MappingProxyType(data)) == make_log()
+
+    def test_rejects_a_non_mapping(self):
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            RequestLog.from_dict([1, 2])
