@@ -95,15 +95,18 @@ class TrafficSourceBreakdown:
     def add(self, record: RequestLog, classifier: UserAgentClassifier) -> None:
         """Fold one record into the breakdown."""
         traffic = classifier.classify(record.user_agent)
+        # ``_value_`` is ``.value`` without the enum's Python-level
+        # property, which a per-record fold would call each time.
+        device = traffic.device._value_
         self.total_requests += 1
-        self.device_counts[traffic.device.value] += 1
-        self.app_counts[traffic.app.value] += 1
+        self.device_counts[device] += 1
+        self.app_counts[traffic.app._value_] += 1
         if traffic.app is AppClass.BROWSER:
-            self.browser_by_device[traffic.device.value] += 1
+            self.browser_by_device[device] += 1
         if record.user_agent:
-            self.ua_strings_by_device.setdefault(
-                traffic.device.value, set()
-            ).add(record.user_agent)
+            self.ua_strings_by_device.setdefault(device, set()).add(
+                record.user_agent
+            )
 
     def merge(self, other: "TrafficSourceBreakdown") -> "TrafficSourceBreakdown":
         """Combine two partial breakdowns; exact (counters and sets)."""
@@ -154,7 +157,7 @@ class RequestTypeBreakdown:
     def add(self, record: RequestLog) -> None:
         """Fold one record into the breakdown."""
         self.total_requests += 1
-        self.method_counts[record.method.value] += 1
+        self.method_counts[record.method._value_] += 1  # ``.value``, cheaper
 
     def merge(self, other: "RequestTypeBreakdown") -> "RequestTypeBreakdown":
         """Combine two partial breakdowns; exact."""

@@ -46,6 +46,11 @@ def bucket_name(timestamp: float) -> str:
     return moment.strftime("%Y-%m-%d-%H")
 
 
+#: Seconds into an hour from which :func:`bucket_name` may round a
+#: time up into the next hour.
+_LAST_MICROSECOND = 3600 - 1e-6
+
+
 def write_partitioned(
     logs: Iterable[RequestLog],
     root: PathLike,
@@ -61,9 +66,20 @@ def write_partitioned(
         raise ValueError(f"unsupported partition format: {fmt!r}")
     root = Path(root)
     groups: Dict[Tuple[str, str], List[RequestLog]] = {}
+    hour_buckets: Dict[float, str] = {}
     for record in logs:
-        key = (record.edge_id, bucket_name(record.timestamp))
-        groups.setdefault(key, []).append(record)
+        timestamp = record.timestamp
+        hour, into_hour = divmod(timestamp, 3600)
+        if into_hour < _LAST_MICROSECOND:
+            bucket = hour_buckets.get(hour)
+            if bucket is None:
+                bucket = hour_buckets[hour] = bucket_name(hour * 3600)
+        else:
+            # ``bucket_name`` rounds to the microsecond, which can carry
+            # a time just below the hour into the next one (and a NaN
+            # lands here and fails there).
+            bucket = bucket_name(timestamp)
+        groups.setdefault((record.edge_id, bucket), []).append(record)
 
     written: Dict[str, int] = {}
     for (edge_id, bucket), records in sorted(groups.items()):

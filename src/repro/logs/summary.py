@@ -45,8 +45,10 @@ class DatasetSummary:
         self.clients.add(record.client_id)
         self.objects.add(record.object_id)
         self.content_types[record.content_type] += 1
-        self.methods[record.method.value] += 1
-        self.cache_statuses[record.cache_status.value] += 1
+        # ``_value_`` is the member's value as ``.value`` returns it,
+        # read without the enum's Python-level property.
+        self.methods[record.method._value_] += 1
+        self.cache_statuses[record.cache_status._value_] += 1
         self.total_response_bytes += record.response_bytes
         self.total_request_bytes += record.request_bytes
 

@@ -63,6 +63,17 @@ class TestWritePartitioned:
         with pytest.raises(FileNotFoundError):
             iter_partition_files(tmp_path / "nope")
 
+    @pytest.mark.parametrize("offset", [-4e-7, -1e-6, 0.0, 1e-7])
+    def test_record_near_an_hour_boundary(self, offset, tmp_path):
+        # bucket_name rounds to the microsecond, so a time less than
+        # half a microsecond before 01:00 belongs to hour 01, not the
+        # hour its seconds floor to.
+        timestamp = 1_559_347_200.0 + 3600 + offset
+        written = write_partitioned([make_log(timestamp=timestamp)], tmp_path)
+        assert list(written) == [f"edge-1/{bucket_name(timestamp)}.jsonl.gz"]
+        expected = "2019-06-01-00" if offset == -1e-6 else "2019-06-01-01"
+        assert bucket_name(timestamp) == expected
+
 
 class TestReadPartitioned:
     def test_round_trip_all_edges(self, sample_logs, tmp_path):
