@@ -19,6 +19,7 @@ serialization-friendly.
 from __future__ import annotations
 
 import enum
+import json
 import operator
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -215,6 +216,49 @@ class RequestLog:
             "edge_id": self.edge_id,
         }
 
+    def to_json_line(self) -> str:
+        """``json.dumps(self.to_dict(), separators=(",", ":"))``, built
+        directly.
+
+        The keys come in :meth:`to_dict`'s order, each value in
+        ``json.dumps``'s own encoding: strings quoted by
+        ``encode_basestring_ascii``, enums as their values' literals,
+        finite floats and ints by their ``__repr__``, ``None`` as
+        ``null``.  A record holding any other value (a bool, a NaN or
+        infinity, a subclass, a non-string in a string field) goes to
+        ``json.dumps`` itself.
+        """
+        (timestamp, client_ip_hash, user_agent, method, domain, url,
+         mime_type, status, response_bytes, cache_status, request_bytes,
+         ttl_seconds, edge_id) = _field_values(self)
+        if not (
+            type(client_ip_hash) is type(domain) is type(url)
+            is type(mime_type) is type(edge_id) is str
+            and type(status) is type(response_bytes)
+            is type(request_bytes) is int
+            and type(timestamp) in _JSON_NUMBERS
+            and timestamp - timestamp == 0  # finite
+            and type(method) is HttpMethod
+            and type(cache_status) is CacheStatus
+            and (user_agent is None or type(user_agent) is str)
+            and (ttl_seconds is None or type(ttl_seconds) in _JSON_NUMBERS
+                 and ttl_seconds - ttl_seconds == 0)
+        ):
+            return json.dumps(self.to_dict(), separators=(",", ":"))
+        return (
+            f'{{"timestamp":{timestamp!r},'
+            f'"client_ip_hash":{_quote(client_ip_hash)},'
+            f'"user_agent":{"null" if user_agent is None else _quote(user_agent)},'
+            f'"method":{_METHOD_LITERALS[method]},'
+            f'"domain":{_quote(domain)},"url":{_quote(url)},'
+            f'"mime_type":{_quote(mime_type)},"status":{status!r},'
+            f'"response_bytes":{response_bytes!r},'
+            f'"cache_status":{_CACHE_STATUS_LITERALS[cache_status]},'
+            f'"request_bytes":{request_bytes!r},'
+            f'"ttl_seconds":{"null" if ttl_seconds is None else repr(ttl_seconds)},'
+            f'"edge_id":{_quote(edge_id)}}}'
+        )
+
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RequestLog":
         """Build a record from a decoded JSON object.
@@ -326,3 +370,9 @@ _new_record = object.__new__
 _set_user_agent = RequestLog.user_agent.__set__
 _SLOT_SETTERS = tuple(spec[-1] for spec in _CONTRACT)
 _field_values = operator.attrgetter(*(spec[0] for spec in _CONTRACT))
+
+# :meth:`RequestLog.to_json_line`'s encodings.
+_quote = json.encoder.encode_basestring_ascii
+_JSON_NUMBERS = (float, int)
+_METHOD_LITERALS = {member: _quote(member.value) for member in HttpMethod}
+_CACHE_STATUS_LITERALS = {member: _quote(member.value) for member in CacheStatus}
