@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="30,300,3600",
         help="comma-separated TTLs (seconds) to sweep",
     )
-    replay.add_argument("--edges", type=int, default=3,
+    replay.add_argument("--edges", type=_POSITIVE_INT, default=3,
                         help="edge caches to spread clients across")
 
     sub.add_parser("experiments", help="list every reproducible artifact")
@@ -674,6 +674,22 @@ def main(argv: Optional[List[str]] = None) -> int:
             _detect_format(logs)
         except ValueError as error:
             parser.error(f"--logs: {error}")
+    out = getattr(args, "out", None)
+    if out:
+        from .logs.io import _detect_format
+
+        try:
+            _detect_format(out)
+        except ValueError as error:
+            parser.error(f"--out: {error}")
+    follow = getattr(args, "follow", None)
+    if follow:
+        from .logs.io import LogTailer
+
+        try:
+            LogTailer(follow)  # checks the name only; opens nothing
+        except ValueError as error:
+            parser.error(f"--follow: {error}")
     logs_dir = getattr(args, "logs_dir", None)
     if logs_dir:
         if not Path(logs_dir).is_dir():

@@ -26,10 +26,14 @@ shards ever produce the same key.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from ..logs.record import RequestLog
+from ..logs.record import (
+    CacheStatus, HttpMethod, RecordChunk, RequestLog, record_chunks,
+)
 from ..periodicity.flows import ClientObjectFlow, FlowFilter, ObjectFlow
 
 if TYPE_CHECKING:
@@ -38,6 +42,11 @@ if TYPE_CHECKING:
 __all__ = ["FlowCollectionState", "PeriodicityDetectionState"]
 
 FlowKey = Tuple[str, str]  # (object_id, client_id)
+
+#: The methods :meth:`HttpMethod.is_upload` counts as uploads.
+_UPLOADS = frozenset(
+    method for method in HttpMethod if method.is_upload()
+)
 
 
 @dataclass
@@ -58,28 +67,47 @@ class FlowCollectionState:
         self.record_count = 0
         self._raw: Dict[FlowKey, _RawFlow] = {}
 
-    def ingest(self, record: RequestLog) -> None:
-        """Fold one record; mirrors ``extract_flows`` exactly."""
-        self.record_count += 1
-        if record.is_json:
-            self.total_json_requests += 1
-        if self.flow_filter.json_only and not record.is_json:
-            return
-        key = (record.object_id, record.client_id)
-        raw = self._raw.get(key)
-        if raw is None:
-            raw = _RawFlow()
-            self._raw[key] = raw
-        raw.timestamps.append(record.timestamp)
-        if record.is_upload:
-            raw.upload_count += 1
-        if not record.cacheable:
-            raw.uncacheable_count += 1
-
     def update(self, records: Iterable[RequestLog]) -> "FlowCollectionState":
-        for record in records:
-            self.ingest(record)
+        for chunk in record_chunks(records):
+            self.fold(chunk)
         return self
+
+    def fold(self, chunk: RecordChunk) -> None:
+        """Fold one chunk; mirrors ``extract_flows`` exactly.
+
+        Flows are grouped per chunk, then each distinct (object,
+        client) key takes its timestamps in record order and its
+        counts, in first-occurrence order.
+        """
+        records = chunk.records
+        is_json = chunk.is_json
+        self.record_count += len(records)
+        self.total_json_requests += sum(is_json)
+        keys = list(zip(chunk.object_ids, chunk.client_ids))
+        if self.flow_filter.json_only:
+            records = list(compress(records, is_json))
+            keys = list(compress(keys, is_json))
+        groups: Dict[FlowKey, List[float]] = {}
+        for key, record in zip(keys, records):
+            timestamps = groups.get(key)
+            if timestamps is None:
+                groups[key] = [record.timestamp]
+            else:
+                timestamps.append(record.timestamp)
+        uploads = Counter(compress(keys, [
+            record.method in _UPLOADS for record in records
+        ]))
+        uncacheable = Counter(compress(keys, [
+            record.cache_status is CacheStatus.NO_STORE for record in records
+        ]))
+        flows = self._raw
+        for key, timestamps in groups.items():
+            raw = flows.get(key)
+            if raw is None:
+                raw = flows[key] = _RawFlow()
+            raw.timestamps.extend(timestamps)
+            raw.upload_count += uploads[key]
+            raw.uncacheable_count += uncacheable[key]
 
     def merge(self, other: "FlowCollectionState") -> "FlowCollectionState":
         """Timestamp-union merge; exact under any shard split."""

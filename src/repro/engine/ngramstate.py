@@ -20,10 +20,11 @@ Three mergeable units cover the Table 3 pipeline:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, Iterable, List, Tuple
 
-from ..logs.record import RequestLog
-from ..ngram.clustering import UrlClusterer
+from ..logs.record import RecordChunk, RequestLog, record_chunks
+from ..ngram.clustering import SHARED_CLUSTERER
 
 __all__ = ["NgramSequenceState", "NgramEvalState"]
 
@@ -41,36 +42,46 @@ class NgramSequenceState:
         self._entries: Dict[bool, Dict[str, List[Tuple[float, str]]]] = {
             variant: {} for variant in _VARIANTS
         }
-        self._clusterer: Optional[UrlClusterer] = None
-
-    # The clusterer memo is a per-shard cache; rebuild after pickling.
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_clusterer", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._clusterer = None
-
-    def ingest(self, record: RequestLog) -> None:
-        """Fold one record; mirrors ``build_client_sequences`` exactly."""
-        self.record_count += 1
-        if self.json_only and not record.is_json:
-            return
-        if self._clusterer is None:
-            self._clusterer = UrlClusterer()
-        clustered_url = self._clusterer(record.url)
-        for variant, url in ((False, record.url), (True, clustered_url)):
-            token = f"{record.domain}{url}" if self.include_domain else url
-            self._entries[variant].setdefault(record.client_id, []).append(
-                (record.timestamp, token)
-            )
 
     def update(self, records: Iterable[RequestLog]) -> "NgramSequenceState":
-        for record in records:
-            self.ingest(record)
+        for chunk in record_chunks(records):
+            self.fold(chunk)
         return self
+
+    def fold(self, chunk: RecordChunk) -> None:
+        """Fold one chunk; mirrors ``build_client_sequences`` exactly.
+
+        Each distinct URL of the chunk is clustered once; entries are
+        appended in record order.
+        """
+        records = chunk.records
+        self.record_count += len(records)
+        clients = chunk.client_ids
+        raw_tokens = chunk.object_ids  # domain + URL
+        if self.json_only:
+            is_json = chunk.is_json
+            records = list(compress(records, is_json))
+            clients = list(compress(clients, is_json))
+            raw_tokens = list(compress(raw_tokens, is_json))
+        urls = [record.url for record in records]
+        clustered = {url: SHARED_CLUSTERER(url) for url in dict.fromkeys(urls)}
+        if self.include_domain:
+            clustered_tokens = [
+                f"{record.domain}{clustered[url]}"
+                for record, url in zip(records, urls)
+            ]
+        else:
+            raw_tokens = urls
+            clustered_tokens = [clustered[url] for url in urls]
+        timestamps = [record.timestamp for record in records]
+        for variant, tokens in ((False, raw_tokens), (True, clustered_tokens)):
+            buffered = self._entries[variant]
+            for client_id, entry in zip(clients, zip(timestamps, tokens)):
+                entries = buffered.get(client_id)
+                if entries is None:
+                    buffered[client_id] = [entry]
+                else:
+                    entries.append(entry)
 
     def merge(self, other: "NgramSequenceState") -> "NgramSequenceState":
         if (other.json_only, other.include_domain) != (

@@ -20,7 +20,9 @@ no cache of its own.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..analysis.cacheability import (
@@ -30,7 +32,8 @@ from ..analysis.cacheability import (
 )
 from ..analysis.characterize import RequestTypeBreakdown, TrafficSourceBreakdown
 from ..analysis.sizes import SizeDistribution
-from ..logs.record import RequestLog
+from ..core.taxonomy import AppClass
+from ..logs.record import CacheStatus, RecordChunk, RequestLog, record_chunks
 from ..logs.summary import DatasetSummary
 from ..useragent.appid import AppUsageReport, identify_app
 from ..useragent.classify import SHARED_CLASSIFIER
@@ -44,11 +47,11 @@ _SIZE_CONTENT_TYPES: Tuple[str, ...] = ("application/json", "text/html")
 class CharacterizationState:
     """Mergeable partial state of the §4 characterization.
 
-    One instance per shard: :meth:`ingest` folds records in exactly
-    the way the analysis-layer functions do, :meth:`merge` combines
-    shard states losslessly (the underlying accumulators are counters
-    and sets), and :meth:`to_report` finalizes a
-    :class:`~repro.core.pipeline.CharacterizationReport`.
+    One instance per shard: :meth:`update` folds records, a chunk at a
+    time, to exactly what the analysis-layer functions compute,
+    :meth:`merge` combines shard states losslessly (the underlying
+    accumulators are counters and sets), and :meth:`to_report`
+    finalizes a :class:`~repro.core.pipeline.CharacterizationReport`.
     """
 
     summary: DatasetSummary = field(default_factory=DatasetSummary)
@@ -69,33 +72,115 @@ class CharacterizationState:
     def record_count(self) -> int:
         return self.summary.total_logs
 
-    def ingest(self, record: RequestLog) -> None:
-        """Fold one record; mirrors the analysis-layer functions exactly."""
-        self.summary.add(record)
-        # One split of the mime type serves the size distributions and
-        # the JSON filter (``record.is_json``).
-        content_type = record.content_type
-        sizes = self.sizes.get(content_type)
-        if sizes is not None:
-            sizes.add(record.response_bytes)
-        if content_type != "application/json":
-            return
-        self.traffic_source.add(record, SHARED_CLASSIFIER)
-        self.request_type.add(record)
-        self.cacheability.add(record)
-        domain = self.domains.get(record.domain)
-        if domain is None:
-            domain = DomainCacheability(record.domain)
-            self.domains[record.domain] = domain
-        domain.total_requests += 1
-        if record.cacheable:
-            domain.cacheable_requests += 1
-        self.apps.add(identify_app(record.user_agent), record)
-
     def update(self, records: Iterable[RequestLog]) -> "CharacterizationState":
-        for record in records:
-            self.ingest(record)
+        for chunk in record_chunks(records):
+            self.fold(chunk)
         return self
+
+    def fold(self, chunk: RecordChunk) -> None:
+        """Fold one chunk; equal to the analysis-layer functions.
+
+        Column passes feed the counters and sets in record order, and
+        each distinct user agent and domain of the chunk is classified
+        once and counted in first-occurrence order, so every counter,
+        dict and set is built in the order a record-by-record fold
+        builds it.
+        """
+        records = chunk.records
+        content_types = chunk.content_types
+        methods = [record.method for record in records]
+        statuses = [record.cache_status for record in records]
+        response_bytes = [record.response_bytes for record in records]
+        timestamps = [record.timestamp for record in records]
+
+        summary = self.summary
+        summary.total_logs += len(records)
+        first, last = summary.first_timestamp, summary.last_timestamp
+        summary.first_timestamp = (
+            min(timestamps) if first is None else min(first, *timestamps)
+        )
+        summary.last_timestamp = (
+            max(timestamps) if last is None else max(last, *timestamps)
+        )
+        summary.domains.update([record.domain for record in records])
+        summary.clients.update(chunk.client_ids)
+        summary.objects.update(chunk.object_ids)
+        summary.content_types.update(content_types)
+        # ``_value_`` is ``.value`` without the enum's Python-level property.
+        for method, count in Counter(methods).items():
+            summary.methods[method._value_] += count
+        for status, count in Counter(statuses).items():
+            summary.cache_statuses[status._value_] += count
+        summary.total_response_bytes = sum(
+            response_bytes, summary.total_response_bytes
+        )
+        summary.total_request_bytes = sum(
+            [record.request_bytes for record in records],
+            summary.total_request_bytes,
+        )
+        for content_type, sizes in self.sizes.items():
+            sizes.sizes.extend(compress(response_bytes, [
+                kind == content_type for kind in content_types
+            ]))
+
+        is_json = chunk.is_json
+        json_records = list(compress(records, is_json))
+        if not json_records:
+            return
+        count = len(json_records)
+        agents = [record.user_agent for record in json_records]
+        json_bytes = list(compress(response_bytes, is_json))
+        json_statuses = list(compress(statuses, is_json))
+        json_domains = [record.domain for record in json_records]
+
+        self.request_type.total_requests += count
+        method_counts = self.request_type.method_counts
+        for method, method_count in Counter(compress(methods, is_json)).items():
+            method_counts[method._value_] += method_count
+
+        hits = json_statuses.count(CacheStatus.HIT)
+        misses = json_statuses.count(CacheStatus.MISS)
+        cacheability = self.cacheability
+        cacheability.total += count
+        cacheability.hits += hits
+        cacheability.misses += misses
+        cacheability.no_store += count - hits - misses
+
+        cacheable = Counter(compress(json_domains, [
+            status is not CacheStatus.NO_STORE for status in json_statuses
+        ]))
+        for name, total in Counter(json_domains).items():
+            domain = self.domains.get(name)
+            if domain is None:
+                domain = self.domains[name] = DomainCacheability(name)
+            domain.total_requests += total
+            domain.cacheable_requests += cacheable[name]
+
+        bytes_by_agent: Dict[Optional[str], int] = {}
+        for agent, size in zip(agents, json_bytes):
+            bytes_by_agent[agent] = bytes_by_agent.get(agent, 0) + size
+        source = self.traffic_source
+        apps = self.apps
+        source.total_requests += count
+        apps.total_requests += count
+        classify = SHARED_CLASSIFIER.classify
+        for agent, agent_count in Counter(agents).items():
+            traffic = classify(agent)
+            device = traffic.device._value_
+            source.device_counts[device] += agent_count
+            source.app_counts[traffic.app._value_] += agent_count
+            if traffic.app is AppClass.BROWSER:
+                source.browser_by_device[device] += agent_count
+            if agent:
+                source.ua_strings_by_device.setdefault(device, set()).add(agent)
+            identity = identify_app(agent)
+            apps.requests_per_app[identity.name] += agent_count
+            apps.bytes_per_app[identity.name] += bytes_by_agent[agent]
+            if identity.identified and identity.version:
+                versions = apps.versions_per_app.get(identity.name)
+                if versions is None:
+                    versions = apps.versions_per_app[identity.name] = Counter()
+                versions[identity.version] += agent_count
 
     def merge(self, other: "CharacterizationState") -> "CharacterizationState":
         """Combine two partial states; exact for all §4 counters."""

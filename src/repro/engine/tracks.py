@@ -36,6 +36,7 @@ from typing import (
     Tuple,
 )
 
+from ..logs.record import record_chunks
 from .options import EngineOptions
 
 if TYPE_CHECKING:
@@ -97,23 +98,14 @@ class TrackState:
             if state is not None
         ]
 
-    def ingest(self, record: "RequestLog") -> None:
-        self.record_count += 1
-        if self.characterization is not None:
-            self.characterization.ingest(record)
-        if self.flows is not None:
-            self.flows.ingest(record)
-        if self.ngrams is not None:
-            self.ngrams.ingest(record)
-
     def update(self, records: Iterable["RequestLog"]) -> "TrackState":
-        folds = [state.ingest for state in self._states()]
-        count = 0
-        for record in records:
-            count += 1
+        """Fold records a chunk at a time: each chunk's derived columns
+        are worked out once and every track folds the same chunk."""
+        folds = [state.fold for state in self._states()]
+        for chunk in record_chunks(records):
+            self.record_count += len(chunk.records)
             for fold in folds:
-                fold(record)
-        self.record_count += count
+                fold(chunk)
         return self
 
     def merge(self, other: "TrackState") -> "TrackState":

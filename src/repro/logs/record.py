@@ -22,7 +22,10 @@ import enum
 import json
 import operator
 from dataclasses import MISSING, dataclass, fields
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from itertools import islice
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
+)
 
 __all__ = [
     "CacheStatus",
@@ -30,6 +33,10 @@ __all__ = [
     "RequestLog",
     "object_key",
     "client_key",
+    "media_type",
+    "CHUNK_SIZE",
+    "RecordChunk",
+    "record_chunks",
 ]
 
 
@@ -153,7 +160,7 @@ class RequestLog:
 
         ``"application/json; charset=utf-8"`` → ``"application/json"``.
         """
-        return self.mime_type.split(";", 1)[0].strip().lower()
+        return media_type(self.mime_type)
 
     @property
     def is_json(self) -> bool:
@@ -303,6 +310,12 @@ class RequestLog:
             set_slot(self, value)
 
 
+def media_type(mime_type: str) -> str:
+    """The bare media type of a ``Content-Type`` value (see
+    :attr:`RequestLog.content_type`)."""
+    return mime_type.split(";", 1)[0].strip().lower()
+
+
 def object_key(domain: str, url: str) -> str:
     """Canonical object identifier used across flow analyses.
 
@@ -316,6 +329,52 @@ def object_key(domain: str, url: str) -> str:
 def client_key(client_ip_hash: str, user_agent: Optional[str]) -> str:
     """Canonical client identifier (§5.1: user agent + anonymized IP)."""
     return f"{client_ip_hash}|{user_agent or ''}"
+
+
+#: Records per :class:`RecordChunk`.  A grouped fold holds one chunk
+#: at a time, so this bounds its memory whatever the input's size.
+CHUNK_SIZE = 1024
+
+
+class RecordChunk:
+    """A run of records plus the columns every grouped fold reads.
+
+    Each record's content type, JSON flag, client id and object id is
+    worked out once here, however many states fold the chunk.  The
+    content type is split once per distinct mime type.
+    """
+
+    __slots__ = (
+        "records", "content_types", "is_json", "client_ids", "object_ids",
+    )
+
+    def __init__(self, records: List[RequestLog]) -> None:
+        self.records = records
+        mime_types = [record.mime_type for record in records]
+        bare = {mime: media_type(mime) for mime in set(mime_types)}
+        self.content_types = [bare[mime] for mime in mime_types]
+        self.is_json = [
+            content_type == "application/json"
+            for content_type in self.content_types
+        ]
+        # client_key's and object_key's formats, without a call per record.
+        self.client_ids = [
+            f"{record.client_ip_hash}|{record.user_agent or ''}"
+            for record in records
+        ]
+        self.object_ids = [f"{record.domain}{record.url}" for record in records]
+
+
+def record_chunks(records: Iterable[RequestLog]) -> Iterator[RecordChunk]:
+    """``records`` as chunks of at most :data:`CHUNK_SIZE`, read lazily:
+    a consumer that folds each chunk before asking for the next never
+    holds more than one chunk of the input."""
+    iterator = iter(records)
+    while True:
+        chunk = list(islice(iterator, CHUNK_SIZE))
+        if not chunk:
+            return
+        yield RecordChunk(chunk)
 
 
 _REQUIRED = object()  # default marker of a field the JSON must carry

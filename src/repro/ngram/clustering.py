@@ -21,7 +21,9 @@ from typing import Tuple
 
 from .tokenize import TokenizedUrl, tokenize_url
 
-__all__ = ["cluster_segment", "cluster_url", "UrlClusterer"]
+__all__ = [
+    "cluster_segment", "cluster_url", "UrlClusterer", "SHARED_CLUSTERER",
+]
 
 _NUM_RE = re.compile(r"^\d+$")
 _HEX_RE = re.compile(r"^[0-9a-fA-F]{8,}$")
@@ -100,3 +102,9 @@ class UrlClusterer:
             self._memo.clear()
         self._memo[url] = result
         return result
+
+
+#: Process-wide clusterer: every ngram state (engine shard or stream
+#: window) shares its bounded memo, as user agents share
+#: :data:`~repro.useragent.classify.SHARED_CLASSIFIER`.
+SHARED_CLUSTERER = UrlClusterer()

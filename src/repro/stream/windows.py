@@ -20,10 +20,13 @@ safe:
   *within-source* disorder budget — a promise that no record older
   than ``watermark`` will be accepted any more.
 * :class:`WindowManager` keeps the open windows, routes each record
-  into its window accumulator(s), **seals** a window once the
-  watermark passes its end (no future in-lag record can touch it),
-  and routes records that arrive after their window sealed to a
-  ``late_dropped`` counter — counted, never silently lost.
+  into its window(s), **seals** a window once the watermark passes
+  its end (no future in-lag record can touch it), and routes records
+  that arrive after their window sealed to a ``late_dropped``
+  counter — counted, never silently lost.  An open window buffers
+  its accepted records and folds them into its accumulator a chunk
+  (:data:`~repro.logs.record.CHUNK_SIZE` records) at a time, and the
+  rest when it seals, so a sealed accumulator is always fully folded.
 
 Sealing happens in window-end order, so "sealed" is equivalent to
 ``window_end <= seal_horizon``; the manager stores one float, not an
@@ -39,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..logs.record import RequestLog
+from ..logs.record import CHUNK_SIZE, RequestLog
 from ..obs import runtime as obs_runtime
 
 __all__ = ["WindowBounds", "WindowSpec", "WatermarkClock", "WindowManager"]
@@ -155,7 +158,7 @@ class WindowManager:
         gets its own watermark frontier (see :class:`WatermarkClock`).
     factory:
         ``factory(start, end)`` → fresh accumulator with an
-        ``ingest(record)`` method; called lazily per window.
+        ``update(records)`` method; called lazily per window.
     on_seal:
         ``on_seal(bounds, accumulator)`` called exactly once per
         window, in window-end order.
@@ -181,6 +184,9 @@ class WindowManager:
         self.factory = factory
         self.on_seal = on_seal
         self._open: Dict[WindowBounds, object] = {}
+        #: Accepted records of each open window not yet folded into
+        #: its accumulator: at most one chunk.
+        self._pending: Dict[WindowBounds, List[RequestLog]] = {}
         #: Everything ending at or before this horizon sealed *this
         #: session*; sealing is monotone in window end.
         self.seal_horizon = float("-inf")
@@ -233,11 +239,14 @@ class WindowManager:
             if bounds[1] <= self.seal_horizon:
                 late += 1
                 continue
-            accumulator = self._open.get(bounds)
-            if accumulator is None:
-                accumulator = self.factory(bounds[0], bounds[1])
-                self._open[bounds] = accumulator
-            accumulator.ingest(record)
+            pending = self._pending.get(bounds)
+            if pending is None:
+                self._open[bounds] = self.factory(bounds[0], bounds[1])
+                pending = self._pending[bounds] = []
+            pending.append(record)
+            if len(pending) >= CHUNK_SIZE:
+                self._open[bounds].update(pending)
+                self._pending[bounds] = []
             accepted += 1
         self.accepted_assignments += accepted
         self.late_assignments += late
@@ -288,6 +297,7 @@ class WindowManager:
         )
         for bounds in ready:
             accumulator = self._open.pop(bounds)
+            accumulator.update(self._pending.pop(bounds))
             self.sealed_windows += 1
             if self.on_seal is not None:
                 self.on_seal(bounds, accumulator)

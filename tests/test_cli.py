@@ -205,6 +205,7 @@ class TestParser:
             (["characterize", "--shard-timeout", "inf"], "--shard-timeout",
              "finite"),
             (["characterize", "--requests", "-5"], "--requests", ">= 1"),
+            (["replay", "--edges", "0"], "--edges", ">= 1"),
         ],
     )
     def test_numeric_argument_out_of_range(self, capsys, argv, flag, bound):
@@ -243,6 +244,30 @@ class TestParser:
         last = err.splitlines()[-1]
         assert last.startswith("repro-json-cdn: error: --logs: ")
         assert "cannot infer log format" in last
+
+    @pytest.mark.parametrize("argv, flag, message", [
+        (["generate", "--requests", "100", "--out", "{dir}/o.txt"], "--out",
+         "cannot infer log format"),
+        (["stream", "--follow", "{dir}/f.txt"], "--follow",
+         "cannot infer log format"),
+        (["stream", "--follow", "{dir}/f.jsonl.gz"], "--follow",
+         "cannot tail a gzip file"),
+    ])
+    def test_unusable_file_name_is_a_usage_error(
+        self, tmp_path, capsys, argv, flag, message
+    ):
+        # Rejected before any work: generate builds no dataset and
+        # --follow polls nothing.
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(dir=tmp_path) for arg in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert lines[-1].startswith(f"repro-json-cdn: error: {flag}: ")
+        assert message in lines[-1]
+        assert list(tmp_path.iterdir()) == []
 
     def test_unparsable_number_names_the_type(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -42,8 +42,7 @@ def partition_root(tmp_path):
 class TestCheckpointStore:
     def test_round_trip(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
-        state = CharacterizationState()
-        state.ingest(make_log())
+        state = CharacterizationState().update([make_log()])
         store.save("edge-0/2019-06-01-00.jsonl.gz", state)
         assert store.has("edge-0/2019-06-01-00.jsonl.gz")
         loaded = store.load("edge-0/2019-06-01-00.jsonl.gz")

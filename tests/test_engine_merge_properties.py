@@ -156,7 +156,7 @@ class TestFlowCollectionAlgebra(RecordAlgebra):
         return FlowCollectionState()
 
     def ingest(self, state, record):
-        state.ingest(record)
+        state.update([record])
 
     def canonical(self, state):
         return state.canonical()
@@ -275,7 +275,7 @@ class TestNgramSequenceAlgebra(RecordAlgebra):
         return NgramSequenceState()
 
     def ingest(self, state, record):
-        state.ingest(record)
+        state.update([record])
 
     def canonical(self, state):
         return state.canonical()
@@ -369,7 +369,7 @@ class TestCharacterizationAlgebra(RecordAlgebra):
         return CharacterizationState()
 
     def ingest(self, state, record):
-        state.ingest(record)
+        state.update([record])
 
     def canonical(self, state):
         # Everything to_report() reads; size lists concatenate in merge

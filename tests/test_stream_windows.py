@@ -33,8 +33,8 @@ class CountingWindow:
         self.end = end
         self.timestamps = []
 
-    def ingest(self, record) -> None:
-        self.timestamps.append(record.timestamp)
+    def update(self, records) -> None:
+        self.timestamps.extend(record.timestamp for record in records)
 
 
 def make_manager(window_s=60.0, lag_s=0.0, slide_s=None, sources=1,
